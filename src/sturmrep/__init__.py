@@ -26,6 +26,7 @@ from .words import (
     mechanical,
     mechanical_stream,
     mirror,
+    params_of,
 )
 from .morphisms import (
     D,
@@ -66,7 +67,6 @@ from .dynamics import (
     image_params,
     intercept_class,
     iterate_fixed_point,
-    params_of,
     yasutomi_check,
     yasutomi_condition,
 )

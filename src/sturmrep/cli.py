@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .dynamics import dominant_eigen, fixed_point_params
+from .dynamics import dominant_eigen, fixed_point_stream
 from .errors import DomainError, ParseError
 from .exactfield import QuadExt
 from .morphisms import (
@@ -30,6 +30,14 @@ from .sqroot import (
 )
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
 from .verify import SUITES, run_suites
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for sizes and counts."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixed-point", help="prefix of the fixed point of a word")
     p.add_argument("genword")
-    p.add_argument("--length", type=int, default=80)
+    p.add_argument("--length", type=non_negative_int, default=80)
     p.add_argument(
         "--show-params",
         action="store_true",
@@ -69,23 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope", required=True, help="field element, e.g. (0+1*sqrt(3))/3")
     p.add_argument("--intercept", required=True)
     p.add_argument("--kind", choices=(LOWER, UPPER), default=LOWER)
-    p.add_argument("--length", type=int, default=80)
+    p.add_argument("--length", type=non_negative_int, default=80)
 
     p = sub.add_parser("conjugates", help="all morphisms with a given incidence matrix")
     p.add_argument("--matrix", required=True, help="[[A,B],[C,D]]")
 
     p = sub.add_parser("sqrt", help="square root of the fixed point of a word")
     p.add_argument("--genword", required=True)
-    p.add_argument("--length", type=int, default=80)
-    p.add_argument("--blocks", type=int, default=0, help="print this many square blocks instead")
-    p.add_argument("--scan-bound", type=int, default=DEFAULT_SCAN_BOUND)
+    p.add_argument("--length", type=non_negative_int, default=80)
+    p.add_argument("--blocks", type=non_negative_int, default=0, help="print this many square blocks instead")
+    p.add_argument("--scan-bound", type=non_negative_int, default=DEFAULT_SCAN_BOUND)
 
     p = sub.add_parser("sqrt-morphism", help="morphism fixing the square root")
     p.add_argument("genword")
 
     p = sub.add_parser("verify", help="run seeded verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=non_negative_int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -130,7 +138,7 @@ def _cmd(args, out) -> int:
         for phi in conjugates_of(Mat2.parse(args.matrix)):
             print(phi, file=out)
     elif args.command == "sqrt":
-        stream = iet_stream(fixed_point_params(parse_genword(args.genword)))
+        stream = fixed_point_stream(parse_genword(args.genword))
         if args.blocks > 0:
             print(square_decomposition(stream, args.blocks, args.scan_bound), file=out)
         else:

@@ -22,17 +22,8 @@ from .morphisms import (
     format_genword,
 )
 from .representation import rep
-from .words import LOWER, UPPER, ParamVector, PrefixStream, SlopeIntercept, iet_stream
-
-
-def params_of(si: SlopeIntercept) -> ParamVector:
-    """Parameter vector of the mechanical sequence: (1-alpha, alpha, delta),
-    except that a zero intercept means rho = l0+l1 for the upper sequence."""
-    l0 = 1 - si.alpha
-    rho = si.delta
-    if si.kind == UPPER and si.delta == 0:
-        rho = QuadExt(1)
-    return ParamVector(l0, si.alpha, rho, si.kind)
+# params_of is re-exported: sturmrep.dynamics.params_of stays public
+from .words import LOWER, UPPER, ParamVector, PrefixStream, iet_stream, params_of
 
 
 def image_params(word: GenWord, v: ParamVector) -> ParamVector:

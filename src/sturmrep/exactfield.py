@@ -39,6 +39,37 @@ def square_free_split(n: int) -> tuple[int, int]:
     return f, m * n
 
 
+def surd_sign(a: int, b: int, m: int | None) -> int:
+    """Sign of a + b*sqrt(m) for integers a, b and a square-free m >= 2;
+    m is not read when b == 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs reduce to comparing a*a with b*b*m; equality is
+    # impossible while m is square-free >= 2
+    d = a * a - b * b * m
+    assert d != 0
+    s = (d > 0) - (d < 0)
+    return s if a > 0 else -s
+
+
+def common_field(*values: QuadExt) -> int | None:
+    """Radicand shared by the irrational values, None when all are rational;
+    values from two distinct fields raise FieldMismatchError."""
+    m = None
+    for v in values:
+        if v.m is not None and v.m != m:
+            if m is not None:
+                raise FieldMismatchError(f"cannot mix sqrt({m}) with sqrt({v.m})")
+            m = v.m
+    return m
+
+
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _FULL_RE = re.compile(
     r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)(?:/(\d+))?$"
@@ -113,21 +144,7 @@ class QuadExt:
         return Fraction(self.a, self.c)
 
     def sign(self) -> int:
-        # a and b of opposite signs reduce to comparing a*a with b*b*m;
-        # equality is impossible while m is square-free >= 2
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        d = a * a - b * b * self.m
-        assert d != 0
-        s = (d > 0) - (d < 0)
-        return s if a > 0 else -s
+        return surd_sign(self.a, self.b, self.m)
 
     def floor(self) -> int:
         """Greatest integer <= value.  An isqrt estimate seeds the answer;
@@ -151,22 +168,13 @@ class QuadExt:
             return self
         return QuadExt(self.a, -self.b, self.c, self.m)
 
-    def _join(self, other: QuadExt) -> int | None:
-        if self.m is None:
-            return other.m
-        if other.m is None or other.m == self.m:
-            return self.m
-        raise FieldMismatchError(
-            f"cannot mix sqrt({self.m}) with sqrt({other.m})"
-        )
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        m = self._join(o)
+        m = common_field(self, o)
         return QuadExt(
             self.a * o.c + o.a * self.c,
             self.b * o.c + o.b * self.c,
@@ -195,7 +203,7 @@ class QuadExt:
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        m = self._join(o)
+        m = common_field(self, o)
         mm = m if m is not None else 0
         return QuadExt(
             self.a * o.a + self.b * o.b * mm,
@@ -219,7 +227,7 @@ class QuadExt:
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        self._join(o)
+        common_field(self, o)
         return self * o._inverse()
 
     def __rtruediv__(self, other):

@@ -55,6 +55,23 @@ def format_genword(word: GenWord) -> str:
     return "".join(g.token for g in word)
 
 
+def power(x, k: int, one):
+    """x**k for an associative product with neutral element one, by
+    square-and-multiply in O(log k) products.  No square is taken after the
+    top bit, so no factor larger than x**k is built (a morphism's images
+    grow like its dominant eigenvalue to the power)."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while True:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
 @dataclass(frozen=True)
 class Mat2:
     """2x2 integer matrix (a b; c d)."""
@@ -77,15 +94,7 @@ class Mat2:
         )
 
     def __pow__(self, k: int) -> Mat2:
-        if k < 0:
-            raise ValueError("negative power")
-        out, base = Mat2.identity(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Mat2.identity())
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -171,12 +180,7 @@ class BinaryMorphism:
         return BinaryMorphism(self.apply(other.image0), self.apply(other.image1))
 
     def __pow__(self, k: int) -> BinaryMorphism:
-        if k < 0:
-            raise ValueError("negative power")
-        out = IDENTITY
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, IDENTITY)
 
     def incidence(self) -> Mat2:
         """Letter-count matrix: row i, column j holds the number of

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import MembershipError
-from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, parse_int_rows
+from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, parse_int_rows, power
 
 Rows = tuple[tuple[int, int, int], ...]
 
@@ -49,15 +49,7 @@ class Mat3:
         )
 
     def __pow__(self, k: int) -> Mat3:
-        if k < 0:
-            raise ValueError("negative power")
-        out, base = Mat3.identity(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Mat3.identity())
 
     def det(self) -> int:
         (a, b, c), (d, e, f), (g, h, i) = self.rows

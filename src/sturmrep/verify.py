@@ -16,6 +16,7 @@ from .dynamics import (
     dekking_mirror,
     dominant_eigen,
     fixed_point_params,
+    fixed_point_stream,
     image_params,
     iterate_fixed_point,
     params_of,
@@ -280,7 +281,7 @@ def suite_fixed_points(
         rng = _sample_rng(seed, i)
         word = random_genword(rng, min_len=1, max_len=10, primitive=True)
         phi = compose(word)
-        stream = iet_stream(fixed_point_params(word))
+        stream = fixed_point_stream(word)
         want = stream.prefix(letters)
         if phi.apply(stream).prefix(letters) != want:
             return SuiteResult(
@@ -330,7 +331,7 @@ def suite_sqrt_example(samples: int | None, seed: int) -> SuiteResult:
     """Pinned square-root example: root sequence, 58-letter prefix, fixing
     morphism.  The pinned strings are derived from the oracles alone in
     tests/test_sqroot.py."""
-    stream = iet_stream(fixed_point_params(DG2))
+    stream = fixed_point_stream(DG2)
     it = iter_square_roots(stream)
     roots = [next(it) for _ in range(16)]
     roots_ok = ",".join(roots) == PINNED_ROOT_LIST
@@ -377,7 +378,7 @@ def suite_sqrt_theorem(
             return SuiteResult(
                 "sqrt-theorem", False, f"not conjugate to power: {format_genword(word)}"
             )
-        root_stream = square_root_stream(iet_stream(fixed_point_params(word)))
+        root_stream = square_root_stream(fixed_point_stream(word))
         want = root_stream.prefix(letters)
         if psi.apply(root_stream).prefix(letters) != want:
             return SuiteResult(

@@ -1,9 +1,10 @@
 """Binary words and one-sided infinite {0,1} sequences.
 
 Finite words are plain str over "01".  Infinite sequences are PrefixStream
-objects produced either from the floor/ceiling formula of a mechanical
-sequence or from the orbit coding of a two-interval exchange; both are
-evaluated with exact sign tests, never floats.
+objects produced by one engine, the orbit coding of a two-interval exchange
+run on denominator-cleared integer pairs with exact sign tests, never
+floats.  A mechanical sequence of slope alpha and intercept delta is the
+coding of the parameter vector (1-alpha, alpha, delta), see params_of.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import DomainError
-from .exactfield import QuadExt
+from .exactfield import QuadExt, common_field, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
@@ -48,14 +49,20 @@ class PrefixStream:
             buf.append(next(self._source))
 
     def prefix(self, n: int) -> str:
+        if n < 0:
+            raise ValueError("length must be non-negative")
         self._ensure(n)
         return "".join(self._buffer[:n])
 
     def slice(self, i: int, j: int) -> str:
+        if not 0 <= i <= j:
+            raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
         self._ensure(j)
         return "".join(self._buffer[i:j])
 
     def __getitem__(self, i: int) -> str:
+        if i < 0:
+            raise ValueError("position must be non-negative")
         self._ensure(i + 1)
         return self._buffer[i]
 
@@ -117,6 +124,9 @@ class ParamVector:
             object.__setattr__(self, name, _as_field(getattr(self, name)))
         if self.boundary not in (LOWER, UPPER):
             raise ValueError(f"boundary must be {LOWER!r} or {UPPER!r}")
+        # l0 + l1 is rational for every params_of output, so the range test
+        # below would let a rho from another field through
+        common_field(self.rho, self.l0, self.l1)
         if not (self.l0 > 0 and self.l1 > 0):
             raise DomainError("interval lengths must be positive")
         total = self.l0 + self.l1
@@ -138,65 +148,20 @@ class ParamVector:
         return ParamVector(self.l0 * f, self.l1 * f, self.rho * f, self.boundary)
 
 
-def _pair_sign(a: int, b: int, m: int) -> int:
-    # sign of a + b*sqrt(m), all integers, m square-free (m=1 for rationals)
-    if b == 0 or m == 1:
-        t = a + b
-        return (t > 0) - (t < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    d = a * a - b * b * m
-    s = (d > 0) - (d < 0)
-    return s if a > 0 else -s
-
-
-def _mechanical_letters(si: SlopeIntercept) -> Iterator[str]:
-    # lower: s(n) = floor(alpha(n+1)+delta) - floor(alpha n+delta)
-    # upper: the same with ceilings, via ceil(x) = -floor(-x)
-    alpha, delta = si.alpha, si.delta
-    take = QuadExt.floor if si.kind == LOWER else QuadExt.ceil
-    x = delta
-    prev = take(x)
-    while True:
-        x = x + alpha
-        cur = take(x)
-        yield str(cur - prev)
-        prev = cur
-
-
-def mechanical_stream(si: SlopeIntercept) -> PrefixStream:
-    return PrefixStream(lambda: _mechanical_letters(si))
-
-
-def mechanical(si: SlopeIntercept, n: int) -> str:
-    """First n letters of the mechanical sequence with the given slope,
-    intercept and boundary kind."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    return mechanical_stream(si).prefix(n)
-
-
 def _iet_letters(v: ParamVector) -> Iterator[str]:
     # Orbit arithmetic runs on denominator-cleared integer pairs (a, b)
     # representing a + b*sqrt(m); one add and one sign test per letter.
     if v.slope.is_rational:
         raise DomainError("rational slope generates a periodic sequence")
     parts = (v.l0, v.l1, v.rho)
-    m = 1
-    for p in parts:
-        if p.m is not None:
-            m = p.m  # ParamVector arithmetic already rejected mixed fields
+    m = common_field(*parts)
     den = math.lcm(*(p.c for p in parts))
     (l0a, l0b), (l1a, l1b), (xa, xb) = (
         (p.a * (den // p.c), p.b * (den // p.c)) for p in parts
     )
     upper = v.boundary == UPPER
     while True:
-        d = _pair_sign(xa - l0a, xb - l0b, m)
+        d = surd_sign(xa - l0a, xb - l0b, m)
         in_first = d <= 0 if upper else d < 0
         if in_first:
             yield "0"
@@ -215,9 +180,27 @@ def iet_stream(v: ParamVector) -> PrefixStream:
 def iet_code(v: ParamVector, n: int) -> str:
     """First n letters of the coding of the orbit of rho under the exchange
     of two intervals of lengths l0 and l1."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
     return iet_stream(v).prefix(n)
+
+
+def params_of(si: SlopeIntercept) -> ParamVector:
+    """Parameter vector of the mechanical sequence: (1-alpha, alpha, delta),
+    except that a zero intercept means rho = l0+l1 for the upper sequence."""
+    l0 = 1 - si.alpha
+    rho = si.delta
+    if si.kind == UPPER and si.delta == 0:
+        rho = QuadExt(1)
+    return ParamVector(l0, si.alpha, rho, si.kind)
+
+
+def mechanical_stream(si: SlopeIntercept) -> PrefixStream:
+    return iet_stream(params_of(si))
+
+
+def mechanical(si: SlopeIntercept, n: int) -> str:
+    """First n letters of the mechanical sequence with the given slope,
+    intercept and boundary kind."""
+    return mechanical_stream(si).prefix(n)
 
 
 def word_stream(w: str) -> PrefixStream:

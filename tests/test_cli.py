@@ -64,6 +64,18 @@ def test_parse_errors_exit_2(capsys):
     assert capture(["generate", "--slope", "nope", "--intercept", "0", "--length", "5"])[0] == 2
     assert capture(["apply", "0->10,1->1", "10x"])[0] == 2
     capsys.readouterr()
+    # negative sizes are usage errors, with the offending flag on stderr
+    for argv in (
+        ["generate", "--slope", "(0+1*sqrt(2))/2", "--intercept", "0", "--length", "-5"],
+        ["fixed-point", "DGG", "--length", "-3"],
+        ["sqrt", "--genword", "DGG", "--length", "-3"],
+        ["sqrt", "--genword", "DGG", "--blocks", "-2"],
+        ["sqrt", "--genword", "DGG", "--scan-bound", "-1"],
+        ["verify", "--suite", "roundtrip", "--samples", "-1"],
+    ):
+        assert capture(argv) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(f"argument {argv[-2]}: must be non-negative, got {argv[-1]}")
 
 
 def test_domain_errors_exit_1(capsys):
@@ -76,6 +88,14 @@ def test_domain_errors_exit_1(capsys):
     assert capture(["fixed-point", "GG"])[0] == 1
     assert capture(["sqrt-morphism", "G'D"])[0] == 1
     capsys.readouterr()
+    # slope and intercept from two fields, also when no letter is asked for
+    for length in ("60", "0"):
+        code, out = capture(
+            ["generate", "--slope", "(0+1*sqrt(2))/2", "--intercept",
+             "(0+1*sqrt(3))/3", "--length", length]
+        )
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == "error: cannot mix sqrt(3) with sqrt(2)\n"
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sturmrep
 from sturmrep.dynamics import (
     RHO_EQ_0,
     RHO_EQ_L0,
@@ -19,7 +20,7 @@ from sturmrep.dynamics import (
     yasutomi_check,
     yasutomi_condition,
 )
-from sturmrep.errors import DomainError, NotPrimitiveError
+from sturmrep.errors import DomainError, FieldMismatchError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
 from sturmrep.morphisms import D, DT, G, GT, compose, parse_genword
 from sturmrep.representation import rep
@@ -58,6 +59,10 @@ def test_params_of():
     assert params_of(SlopeIntercept(alpha, QuadExt(0), LOWER)) == ParamVector(
         1 - alpha, alpha, QuadExt(0), LOWER
     )
+    assert params_of is sturmrep.params_of is sturmrep.words.params_of
+    # slope sqrt(2)/2 with intercept sqrt(3)/3: no single field codes it
+    with pytest.raises(FieldMismatchError, match=r"cannot mix sqrt\(3\) with sqrt\(2\)"):
+        iet_code(params_of(SlopeIntercept(QuadExt(0, 1, 2, 2), alpha)), 60)
 
 
 def test_image_params_generator_rows():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sturmrep.errors import FieldMismatchError, ParseError
+from sturmrep import exactfield
 from sturmrep.exactfield import HALF, ONE, ZERO, QuadExt, square_free_split
 
 from oracles import surd_floor, surd_sign
@@ -95,6 +96,21 @@ def test_floor_matches_oracle(x):
 @given(values)
 def test_sign_matches_oracle(x):
     assert x.sign() == surd_sign(x.a, x.b, x.m)
+
+
+def test_surd_sign_on_raw_pairs_near_zero():
+    # the 2iet loop hands surd_sign unreduced integer pairs; Pell solutions
+    # x*x - m*y*y = +-1 put a + b*sqrt(m) as close to 0 as integers allow
+    for m in SQUARE_FREE:
+        x, y = next((x, y) for y in range(1, 200) for x in [math.isqrt(m * y * y + 1)]
+                    if abs(x * x - m * y * y) == 1)
+        a, b = x, y
+        for _ in range(30):
+            for f in (1, 6, 10**12):
+                for pa, pb in ((f * a, -f * b), (-f * a, f * b), (f * a, f * b), (0, -f * b)):
+                    assert exactfield.surd_sign(pa, pb, m) == surd_sign(pa, pb, m)
+            a, b = a * x + m * b * y, a * y + b * x
+    assert exactfield.surd_sign(-4, 0, None) == -1
 
 
 @given(same_field)

@@ -18,9 +18,11 @@ from sturmrep.morphisms import (
     format_genword,
     gen_morphism,
     parse_genword,
+    power,
     right_conjugate_step,
     rightmost_conjugate,
 )
+from sturmrep.representation import rep
 from sturmrep.words import word_stream
 
 from oracles import fixed_point_by_iteration, substitute
@@ -196,6 +198,44 @@ def test_morphism_power():
     assert phi**0 == IDENTITY
     assert phi**2 == phi * phi
     assert (phi**2).image0 == substitute(phi.image0, phi.image1, phi.image0)
+    rng = random.Random(4)
+    words = [parse_genword("DGG"), ()] + [
+        tuple(rng.choice(ALL) for _ in range(rng.randint(1, 5))) for _ in range(6)
+    ]
+    for w in words:
+        want = IDENTITY
+        for k in range(8):
+            assert compose(w) ** k == want
+            want = want * compose(w)
+    for b in ((1, 2, 1, 3), (2, 1, 1, 1), (0, 1, 1, 0), (3, -1, 4, 2)):
+        want = Mat2.identity()
+        for k in range(8):
+            assert Mat2(*b) ** k == want
+            want = want * Mat2(*b)
+    for g in ALL:
+        for k in range(8):
+            assert rep((g,) * k) == rep((g,)) ** k
+    for x in (phi, Mat2(1, 2, 1, 3), rep((D,))):
+        with pytest.raises(ValueError):
+            x ** -1
+
+
+def test_power_builds_no_factor_past_the_result():
+    built = []
+
+    class Exp:  # stands for x**e; a product adds exponents
+        def __init__(self, e):
+            self.e = e
+
+        def __mul__(self, other):
+            built.append(self.e + other.e)
+            return Exp(self.e + other.e)
+
+    for k in range(1, 100):
+        built.clear()
+        assert power(Exp(1), k, Exp(0)).e == k
+        assert max(built) == k
+        assert len(built) <= 2 * k.bit_length()
 
 
 def test_fixed_point_iteration_oracle_agreement():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sturmrep.errors import DomainError
+from sturmrep.errors import DomainError, FieldMismatchError
 from sturmrep.exactfield import QuadExt
 from sturmrep.words import (
     LOWER,
@@ -61,20 +61,44 @@ def test_mechanical_fibonacci_prefix():
     assert mechanical(si, 10) == "0100101001"
 
 
+def _frac(x: QuadExt) -> QuadExt:
+    return x - x.floor()
+
+
 @pytest.mark.parametrize("kind", (LOWER, UPPER))
 def test_mechanical_matches_bruteforce_oracle(kind):
+    # (alpha, delta, letters) over rational, irrational and boundary
+    # intercepts; at delta = frac(-k*alpha) the point alpha*k + delta is an
+    # integer, where the lower and upper codings differ
+    cases = []
     rng = random.Random(5)
     for _ in range(10):
         m = rng.choice((2, 3, 5, 7))
         raw = (rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9))
-        x = QuadExt(*raw, m)
-        alpha = x - x.floor()
-        delta = QuadExt(rng.randint(0, 6), 0, 7)
-        got = mechanical(SlopeIntercept(alpha, delta, kind), 300)
+        alpha = _frac(QuadExt(*raw, m))
+        cases.append((alpha, QuadExt(rng.randint(0, 6), 0, 7), 300))
+    rng = random.Random(3)
+    for _ in range(5):
+        m = rng.choice((2, 3, 5, 7, 13))
+        x = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
+        cases.append((_frac(x), QuadExt(rng.randint(1, 7), 0, 8), 1000))
+    rng = random.Random(8)
+    for _ in range(8):
+        m = rng.choice((2, 3, 5, 7, 13))
+        alpha = _frac(QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m))
+        y = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
+        edges = [QuadExt(0), _frac(y), _frac(alpha * -rng.randint(1, 200))]
+        if kind == UPPER:
+            edges.append(QuadExt(1))
+        cases += [(alpha, delta, 300) for delta in edges]
+    for alpha, delta, n in cases:
         want = mechanical_oracle(
-            (alpha.a, alpha.b, alpha.c), (delta.a, delta.b, delta.c), m, 300, kind
+            (alpha.a, alpha.b, alpha.c), (delta.a, delta.b, delta.c), alpha.m, n, kind
         )
-        assert got == want
+        assert mechanical(SlopeIntercept(alpha, delta, kind), n) == want
+        # the upper coding runs on (0, l0+l1], where the point 0 is l0+l1 = 1
+        rho = QuadExt(1) if kind == UPPER and delta == 0 else delta
+        assert iet_code(ParamVector(1 - alpha, alpha, rho, kind), n) == want
 
 
 def test_rational_slope_rejected():
@@ -111,18 +135,6 @@ def test_iet_scale_invariance():
         assert iet_code(v.scaled(factor), 500) == iet_code(v, 500)
 
 
-@pytest.mark.parametrize("kind", (LOWER, UPPER))
-def test_iet_equals_mechanical_for_interior_intercepts(kind):
-    rng = random.Random(3)
-    for _ in range(5):
-        m = rng.choice((2, 3, 5, 7, 13))
-        x = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
-        alpha = x - x.floor()
-        delta = QuadExt(rng.randint(1, 7), 0, 8)
-        v = ParamVector(1 - alpha, alpha, delta, kind)
-        assert iet_code(v, 1000) == mechanical(SlopeIntercept(alpha, delta, kind), 1000)
-
-
 def test_letter_frequency_three_distance_bound():
     v = ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, QuadExt(1, 0, 3))
     n = 10_000
@@ -141,6 +153,9 @@ def test_param_vector_domains():
         ParamVector(1 - a, a, QuadExt(0), UPPER)
     with pytest.raises(DomainError):
         ParamVector(a - 1, a, QuadExt(0), LOWER)
+    # l0 + l1 = 1 is rational, so only the field join sees the sqrt(2) rho
+    with pytest.raises(FieldMismatchError, match=r"cannot mix sqrt\(2\) with sqrt\(3\)"):
+        ParamVector(1 - a, a, QuadExt(0, 1, 2, 2), LOWER)
 
 
 def test_streams_are_replayable_and_buffered():
@@ -153,6 +168,13 @@ def test_streams_are_replayable_and_buffered():
     assert s[4] == s.prefix(5)[4]
     m = mechanical_stream(SlopeIntercept(SQRT3_OVER_3, SQRT3_OVER_3))
     assert m.prefix(20) == s.prefix(20)
+    s.prefix(10)
+    for bad in (lambda: s[-1], lambda: s.slice(-3, 4), lambda: s.slice(5, 2),
+                lambda: s.prefix(-1), lambda: iet_code(v, -1),
+                lambda: mechanical(SlopeIntercept(SQRT3_OVER_3, SQRT3_OVER_3), -1)):
+        with pytest.raises(ValueError):
+            bad()
+    assert s.slice(4, 4) == "" and s.prefix(0) == ""
 
 
 def test_word_stream_repeats():
