@@ -77,11 +77,6 @@ def test_mechanical_matches_bruteforce_oracle(kind):
         raw = (rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9))
         alpha = _frac(QuadExt(*raw, m))
         cases.append((alpha, QuadExt(rng.randint(0, 6), 0, 7), 300))
-    rng = random.Random(3)
-    for _ in range(5):
-        m = rng.choice((2, 3, 5, 7, 13))
-        x = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
-        cases.append((_frac(x), QuadExt(rng.randint(1, 7), 0, 8), 1000))
     rng = random.Random(8)
     for _ in range(8):
         m = rng.choice((2, 3, 5, 7, 13))
@@ -99,6 +94,22 @@ def test_mechanical_matches_bruteforce_oracle(kind):
         # the upper coding runs on (0, l0+l1], where the point 0 is l0+l1 = 1
         rho = QuadExt(1) if kind == UPPER and delta == 0 else delta
         assert iet_code(ParamVector(1 - alpha, alpha, rho, kind), n) == want
+
+
+@pytest.mark.parametrize("kind", (LOWER, UPPER))
+def test_iet_equals_mechanical_for_interior_intercepts(kind):
+    # mechanical runs on the iet engine, so both are held to the oracle too
+    rng = random.Random(3)
+    for _ in range(5):
+        m = rng.choice((2, 3, 5, 7, 13))
+        x = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
+        alpha = _frac(x)
+        delta = QuadExt(rng.randint(1, 7), 0, 8)
+        w = iet_code(ParamVector(1 - alpha, alpha, delta, kind), 1000)
+        assert w == mechanical(SlopeIntercept(alpha, delta, kind), 1000)
+        assert w == mechanical_oracle(
+            (alpha.a, alpha.b, alpha.c), (delta.a, delta.b, delta.c), alpha.m, 1000, kind
+        )
 
 
 def test_rational_slope_rejected():
