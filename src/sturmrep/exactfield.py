@@ -114,14 +114,6 @@ class QuadExt:
             return cls(a + b, 0, c)
         return cls(a, b, c, m)
 
-    @classmethod
-    def sqrt_of(cls, n: int) -> QuadExt:
-        return cls.from_radicand(0, 1, 1, n)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> QuadExt:
-        return cls(q.numerator, 0, q.denominator)
-
     @staticmethod
     def coerce(value) -> "QuadExt | None":
         if isinstance(value, QuadExt):
@@ -137,11 +129,6 @@ class QuadExt:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
 
     def sign(self) -> int:
         return surd_sign(self.a, self.b, self.m)
@@ -227,7 +214,6 @@ class QuadExt:
         o = self.coerce(other)
         if o is None:
             return NotImplemented
-        common_field(self, o)
         return self * o._inverse()
 
     def __rtruediv__(self, other):
@@ -276,11 +262,6 @@ class QuadExt:
 
     def __bool__(self):
         return self.sign() != 0
-
-    def __float__(self):
-        # display/estimation only; never on a decision path
-        t = self.a + (self.b * math.sqrt(self.m) if self.b else 0.0)
-        return t / self.c
 
     # -- text format ----------------------------------------------------------
 

@@ -8,7 +8,7 @@ A represented morphism has the block shape
 
 the top-left block being its incidence matrix.  Membership in the image
 monoid is decided by two inequality pairs, and members factor back into
-generator words by peeling one generator matrix at a time.
+generator words by Euclid's algorithm on the block rows.
 """
 
 from __future__ import annotations
@@ -133,8 +133,6 @@ def rep_exchange() -> Mat3:
 
 # -- cones ---------------------------------------------------------------
 
-CONE_IDS = ("C1", "C2", "C3")
-
 
 def cone_contains(cone: str, vec) -> bool:
     """Exact test of the defining inequalities; vector entries may be int,
@@ -189,53 +187,42 @@ def check_membership(matrix: Mat3) -> Membership:
     return Membership(True)
 
 
-_SWAP = {G: DT, GT: D, D: GT, DT: G}
-
-
 def decompose(matrix: Mat3) -> GenWord:
     """Factor a member matrix into a generator word with rep(word) == matrix.
 
-    Peeling recursion on the first-column sum A+C:
+    Euclid's algorithm on the block rows, one quotient step per run while
+    B > 0 and C > 0:
+      A>=C, B>=D   ->  q = min(A//C, B//D), i = min(q, E//C, F//D):
+                       G'^i G^(q-i); row 0 loses q*row 1, row 2 i*row 1
+      A<=C, B<=D   ->  the mirror step, D^i D'^(q-i)
+    and then one last run:
       C = 0        ->  G^(B-F) G'^F
       B = 0        ->  D'^(C-E) D^E
-      A>=C, B>=D   ->  peel G' when C<=E and D<=F, else peel G
-      A<=C, B<=D   ->  conjugate by the swap of the two letters, which
-                       exchanges G<->D' and G'<->D, and continue
-    Each peel strictly lowers A+C of the matrix being peeled.
+    Within a run G' precedes G and D precedes D', so the word is the one
+    that peeling a single generator at a time would give.
     """
     verdict = check_membership(matrix)
     if not verdict:
         raise MembershipError(verdict.certificate)
     tokens: list[Generator] = []
-    swapped = False
     a, b, c, d, e, f = matrix.named()
-
-    def emit(gen: Generator, count: int = 1) -> None:
-        g = _SWAP[gen] if swapped else gen
-        tokens.extend([g] * count)
-
-    while True:
-        if c == 0:
-            # det forces A = D = 1 here, and the inequalities pin E = 0
-            emit(G, b - f)
-            emit(GT, f)
-            break
-        if b == 0:
-            emit(DT, c - e)
-            emit(D, e)
-            break
+    while b and c:
         if a >= c and b >= d:
-            metric = a + c
-            if c <= e and d <= f:
-                emit(GT)
-                a, b, e, f = a - c, b - d, e - c, f - d
-            else:
-                assert e < a and f < b, "peel guard violated"
-                emit(G)
-                a, b = a - c, b - d
-            assert a + c < metric, "peel did not shrink the first column sum"
+            q = min(a // c, b // d)
+            i = min(q, e // c, f // d)
+            tokens += [GT] * i + [G] * (q - i)
+            a, b, e, f = a - q * c, b - q * d, e - i * c, f - i * d
         else:
             assert a <= c and b <= d, "block dichotomy violated"
-            a, b, c, d, e, f = d, c, b, a, f, e
-            swapped = not swapped
+            q = min(c // a, d // b)
+            i = min(q, e // a, f // b)
+            tokens += [D] * i + [DT] * (q - i)
+            c, d, e, f = c - q * a, d - q * b, e - i * a, f - i * b
+    if c == 0:
+        # det forces A = D = 1 here, and the inequalities pin E = 0
+        tokens += [G] * (b - f)
+        tokens += [GT] * f
+    else:
+        tokens += [DT] * (c - e)
+        tokens += [D] * e
     return tuple(tokens)

@@ -14,7 +14,7 @@ from typing import Iterator
 
 from .errors import NotCharacteristicError, NotPrimitiveError, ScanBoundError
 from .morphisms import BinaryMorphism, GenWord, compose, format_genword
-from .representation import Mat3, check_membership, decompose, rep
+from .representation import Mat3, decompose, rep
 from .words import PrefixStream
 
 DEFAULT_SCAN_BOUND = 10_000
@@ -166,8 +166,6 @@ def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
                     (t0 // 2, t1 // 2, 1),
                 )
             )
-            verdict = check_membership(lifted)
-            assert verdict, f"lifted power not in the monoid: {verdict.certificate}"
             genword = decompose(lifted)
             return SqrtMorphism(compose(genword), k, genword)
         power = power * block

@@ -151,8 +151,6 @@ class ParamVector:
 def _iet_letters(v: ParamVector) -> Iterator[str]:
     # Orbit arithmetic runs on denominator-cleared integer pairs (a, b)
     # representing a + b*sqrt(m); one add and one sign test per letter.
-    if v.slope.is_rational:
-        raise DomainError("rational slope generates a periodic sequence")
     parts = (v.l0, v.l1, v.rho)
     m = common_field(*parts)
     den = math.lcm(*(p.c for p in parts))
@@ -174,6 +172,8 @@ def _iet_letters(v: ParamVector) -> Iterator[str]:
 
 
 def iet_stream(v: ParamVector) -> PrefixStream:
+    if v.slope.is_rational:
+        raise DomainError("rational slope generates a periodic sequence")
     return PrefixStream(lambda: _iet_letters(v))
 
 
@@ -215,11 +215,7 @@ def word_stream(w: str) -> PrefixStream:
     return PrefixStream(gen)
 
 
-def one_count(w: str) -> int:
-    return w.count("1")
-
-
 def frequency_gap(w: str, slope: QuadExt) -> QuadExt:
     """|count of 1s - n*slope| for the n-letter word w, exact."""
-    gap = one_count(w) - slope * len(w)
+    gap = w.count("1") - slope * len(w)
     return gap if gap.sign() >= 0 else -gap

@@ -102,3 +102,46 @@ def mat_mul_3(x, y):
         tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
         for i in range(3)
     )
+
+
+_SWAP_TOKENS = {"G": "D'", "G'": "D", "D": "G'", "D'": "G"}
+
+
+def decompose_by_peeling(rows) -> list[str]:
+    """Generator tokens of a member matrix, one generator peeled per pass.
+
+    The reference factorization: while C > 0 and B > 0, peel G' when
+    C <= E and D <= F, else G; when A <= C and B <= D, conjugate by the
+    letter swap (G <-> D', G' <-> D) and continue in the swapped frame.
+    The input must be a member of the monoid.
+    """
+    (a, b, _), (c, d, _), (e, f, _) = rows
+    tokens: list[str] = []
+    swapped = False
+
+    def emit(token: str, count: int = 1) -> None:
+        tokens.extend([_SWAP_TOKENS[token] if swapped else token] * count)
+
+    while True:
+        if c == 0:
+            emit("G", b - f)
+            emit("G'", f)
+            return tokens
+        if b == 0:
+            emit("D'", c - e)
+            emit("D", e)
+            return tokens
+        if a >= c and b >= d:
+            metric = a + c
+            if c <= e and d <= f:
+                emit("G'")
+                a, b, e, f = a - c, b - d, e - c, f - d
+            else:
+                assert e < a and f < b, "peel guard violated"
+                emit("G")
+                a, b = a - c, b - d
+            assert a + c < metric, "peel did not shrink the first column sum"
+        else:
+            assert a <= c and b <= d, "block dichotomy violated"
+            a, b, c, d, e, f = d, c, b, a, f, e
+            swapped = not swapped

@@ -1,6 +1,10 @@
 import io
+import shlex
+from pathlib import Path
 
 from sturmrep.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def capture(argv):
@@ -178,3 +182,34 @@ def test_help_per_subcommand(capsys):
                  "generate", "conjugates", "sqrt", "sqrt-morphism", "verify", "apply"):
         assert capture([name, "--help"])[0] == 0
         capsys.readouterr()
+
+
+def readme_examples():
+    """(argv, expected lines, prefix only) for each `$ sturmrep ...` line in
+    README's code blocks; a trailing `...` marks the lines as a prefix."""
+    examples = []
+    current = None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ sturmrep "):
+            current = []
+            examples.append((shlex.split(line)[2:], current))
+        elif current is not None:
+            current.append(line)
+    return [
+        (argv, lines[:-1], True) if lines[-1:] == ["..."] else (argv, lines, False)
+        for argv, lines in examples
+    ]
+
+
+def test_readme_examples_match_output():
+    examples = readme_examples()
+    assert len(examples) == 10
+    for argv, expected, prefix in examples:
+        code, out = capture(argv)
+        assert code == 0, argv
+        lines = out.splitlines()
+        if prefix:
+            lines = lines[: len(expected)]
+        assert lines == expected, argv

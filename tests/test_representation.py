@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sturmrep.errors import MembershipError, ParseError
 from sturmrep.exactfield import QuadExt
@@ -18,10 +18,13 @@ from sturmrep.representation import (
     rep_gen,
 )
 
-from oracles import mat_mul_3
+from oracles import decompose_by_peeling, mat_mul_3
 
 ALL = (G, GT, D, DT)
 genwords = st.lists(st.sampled_from(ALL), max_size=12).map(tuple)
+# words with long runs of one generator, so that decompose takes large quotients
+runs = st.tuples(st.sampled_from(ALL), st.integers(1, 1000)).map(lambda gk: (gk[0],) * gk[1])
+runwords = st.lists(st.one_of(genwords, runs), max_size=6).map(lambda parts: sum(parts, ()))
 
 R_GT = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
 R_G = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -170,9 +173,10 @@ def test_decompose_examples():
     assert format_genword(decompose(Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1))))) == "DGG"
     assert decompose(Mat3.identity()) == ()
     assert format_genword(decompose(rep_gen(GT))) == "G'"
-    # terminal cases of the recursion
+    # the last run, at C = 0 or at B = 0
     assert format_genword(decompose(Mat3(((1, 3, 0), (0, 1, 0), (0, 2, 1))))) == "GG'G'"
     assert format_genword(decompose(Mat3(((1, 0, 0), (3, 1, 0), (1, 0, 1))))) == "D'D'D"
+    assert decompose(Mat3(((1, 0, 0), (10**5, 1, 0), (0, 0, 1)))) == (DT,) * 10**5
 
 
 def test_decompose_rejects_non_members_with_certificate():
@@ -188,6 +192,15 @@ def test_decompose_round_trip(w):
     word = decompose(matrix)
     assert rep(word) == matrix
     assert compose(word) == compose(w)
+
+
+@settings(deadline=None)
+@given(runwords)
+def test_decompose_matches_peeling_oracle(w):
+    matrix = rep(w)
+    word = decompose(matrix)
+    assert [g.token for g in word] == decompose_by_peeling(matrix.rows)
+    assert rep(word) == matrix
 
 
 def test_faithfulness_small_scale():

@@ -115,8 +115,12 @@ def test_iet_equals_mechanical_for_interior_intercepts(kind):
 def test_rational_slope_rejected():
     with pytest.raises(DomainError):
         SlopeIntercept(QuadExt(1, 0, 2), QuadExt(0))
+    v = ParamVector(QuadExt(0, 1, 1, 2), QuadExt(0, 1, 1, 2), QuadExt(0))
+    for n in (0, 5):
+        with pytest.raises(DomainError):
+            iet_code(v, n)
     with pytest.raises(DomainError):
-        iet_code(ParamVector(QuadExt(0, 1, 1, 2), QuadExt(0, 1, 1, 2), QuadExt(0)), 5)
+        iet_stream(v)
 
 
 def test_lower_upper_disagree_on_at_most_two_adjacent_positions():
