@@ -86,9 +86,11 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
         raise DomainError(
             f"no expanding fixed point starts with {first_letter!r} for {phi}"
         )
+    # k letters map to >= k * (shortest image) letters: s[:k] reaches n once len(s) >= k
+    k = -(-n // (min(len(phi.image0), len(phi.image1)) or 1))
     s = first_letter
     while len(s) < n:
-        s = phi.apply(s)
+        s = phi.apply(s[:k])
     return s[:n]
 
 

@@ -156,18 +156,15 @@ class BinaryMorphism:
 
     def apply(self, w):
         """Image of a finite word (str in, str out) or of a stream
-        (PrefixStream in, lazily mapped PrefixStream out)."""
+        (PrefixStream in, lazily mapped PrefixStream out, one block of the
+        input at a time)."""
+        image = {"0": self.image0, "1": self.image1}.__getitem__
         if isinstance(w, str):
-            img = {"0": self.image0, "1": self.image1}
-            return "".join(img[ch] for ch in w)
+            return "".join(map(image, w))
         if isinstance(w, PrefixStream):
-            img0, img1 = self.image0, self.image1
-
-            def gen():
-                for ch in w.restart():
-                    yield from img1 if ch == "1" else img0
-
-            return PrefixStream(gen)
+            return PrefixStream(
+                lambda: ("".join(map(image, block)) for block in w.blocks())
+            )
         raise TypeError(f"cannot apply a morphism to {type(w).__name__}")
 
     def __call__(self, w):

@@ -9,6 +9,7 @@ power of the representation matrix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,41 +19,44 @@ from .representation import Mat3, decompose, rep
 from .words import PrefixStream
 
 DEFAULT_SCAN_BOUND = 10_000
+_SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
 
 
-def _z_array(s: str) -> list[int]:
-    # z[i] = length of the longest common prefix of s and s[i:]
-    n = len(s)
-    z = [0] * n
-    if n:
-        z[0] = n
+def _square_root_length(s: str) -> int:
+    """Length of the shortest w with s starting w*w, 0 when no square fits
+    in s.  This is the Z-algorithm run over the first half of s: z[i] is
+    the length of the longest common prefix of s and s[i:], and the first
+    i with z[i] >= i is the answer, so z is capped there."""
+    half = len(s) // 2
+    z = [0] * (half + 1)
     left = right = 0
-    for i in range(1, n):
-        if i < right:
-            z[i] = min(right - i, z[i - left])
-        while i + z[i] < n and s[z[i]] == s[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > right:
-            left, right = i, i + z[i]
-    return z
+    for i in range(1, half + 1):
+        k = min(right - i, z[i - left]) if i < right else 0
+        while k < i and s[k] == s[i + k]:
+            k += 1
+        if k == i:
+            return i
+        z[i] = k
+        if i + k > right:
+            left, right = i, i + k
+    return 0
 
 
-def _shortest_square_at(
-    stream: PrefixStream, offset: int, scan_bound: int
-) -> str:
-    window = 16
-    while True:
-        half = min(window // 2, scan_bound)
+def _shortest_square_at(stream: PrefixStream, offset: int, scan_bound: int) -> str:
+    # roots up to 8 letters by direct comparison in a 16-letter window, the
+    # shortest first; past that the window doubles and each window gets
+    # one linear scan, so the whole search stays linear in the root found
+    half = min(8, scan_bound)
+    square = _SQUARE.match(stream.slice(offset, offset + 2 * half))
+    if square:
+        return square[1]
+    while half < scan_bound:
+        half = min(2 * half, scan_bound)
         s = stream.slice(offset, offset + 2 * half)
-        z = _z_array(s)
-        for length in range(1, half + 1):
-            if z[length] >= length:
-                return s[:length]
-        if half == scan_bound:
-            raise ScanBoundError(
-                f"no square prefix with root length <= {scan_bound}"
-            )
-        window *= 2
+        length = _square_root_length(s)
+        if length:
+            return s[:length]
+    raise ScanBoundError(f"no square prefix with root length <= {scan_bound}")
 
 
 def shortest_square_prefix(
@@ -78,13 +82,8 @@ def iter_square_roots(
 def square_root_stream(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> PrefixStream:
-    """Concatenation of the block roots as a lazy stream."""
-
-    def gen():
-        for root in iter_square_roots(stream, scan_bound):
-            yield from root
-
-    return PrefixStream(gen)
+    """Concatenation of the block roots as a lazy stream, a root per block."""
+    return PrefixStream(lambda: iter_square_roots(stream, scan_bound))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 """Binary words and one-sided infinite {0,1} sequences.
 
 Finite words are plain str over "01".  Infinite sequences are PrefixStream
-objects produced by one engine, the orbit coding of a two-interval exchange
-run on denominator-cleared integer pairs with exact sign tests, never
-floats.  A mechanical sequence of slope alpha and intercept delta is the
-coding of the parameter vector (1-alpha, alpha, delta), see params_of.
+objects fed by iterators of str blocks of letters.  Their one engine is the
+orbit coding of a two-interval exchange, run on denominator-cleared integer
+pairs with exact sign tests, never floats: one test per run of the repeated
+letter, blocks of about 64 letters, and a seek that starts the orbit at any
+letter after one exact floor.  A mechanical sequence of slope alpha and
+intercept delta is the coding of the parameter vector (1-alpha, alpha,
+delta), see params_of.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
 from .errors import DomainError
@@ -31,49 +36,59 @@ def mirror(w: str) -> str:
 class PrefixStream:
     """Deterministic on-demand {0,1} sequence.
 
-    Letters already produced are buffered, so prefix() is idempotent and
-    several consumers may read one stream at independent positions.  Fresh
-    replays come from restart().
+    factory() returns an iterator of str blocks, one letter or many per
+    step.  Blocks are buffered whole as they are read, so prefix() is
+    idempotent and several consumers may read one stream at independent
+    positions; blocks() hands the letters on block by block, and restart()
+    gives a fresh replay.  An optional seek(i) returns the blocks from
+    letter i on: slice(i, j) with i over 512 letters past the buffer then
+    costs j - i letters, and the buffer stays a prefix.
     """
 
-    def __init__(self, factory: Callable[[], Iterator[str]]):
+    def __init__(self, factory: Callable[[], Iterator[str]],
+                 seek: Callable[[int], Iterator[str]] | None = None):
         self._factory = factory
-        self._source: Iterator[str] | None = None
-        self._buffer: list[str] = []
+        self._seek = seek
+        self._source = factory()
+        self._buffer = bytearray()
 
     def _ensure(self, n: int) -> None:
-        if self._source is None:
-            self._source = self._factory()
-        buf = self._buffer
-        while len(buf) < n:
-            buf.append(next(self._source))
+        while len(self._buffer) < n:
+            self._buffer += next(self._source).encode()
 
     def prefix(self, n: int) -> str:
         if n < 0:
             raise ValueError("length must be non-negative")
         self._ensure(n)
-        return "".join(self._buffer[:n])
+        return self._buffer[:n].decode()
 
     def slice(self, i: int, j: int) -> str:
         if not 0 <= i <= j:
             raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
+        # a seek costs about 500 letters of the engine: nearer starts extend
+        if self._seek is not None and i > len(self._buffer) + 512:
+            return PrefixStream(partial(self._seek, i)).prefix(j - i)
         self._ensure(j)
-        return "".join(self._buffer[i:j])
+        return self._buffer[i:j].decode()
 
     def __getitem__(self, i: int) -> str:
         if i < 0:
             raise ValueError("position must be non-negative")
-        self._ensure(i + 1)
-        return self._buffer[i]
+        return self.slice(i, i + 1)
 
-    def __iter__(self) -> Iterator[str]:
+    def blocks(self) -> Iterator[str]:
         i = 0
         while True:
-            yield self[i]
-            i += 1
+            self._ensure(i + 1)
+            block = self._buffer[i:].decode()
+            i += len(block)
+            yield block
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self.blocks())
 
     def restart(self) -> PrefixStream:
-        return PrefixStream(self._factory)
+        return PrefixStream(self._factory, self._seek)
 
 
 def _as_field(x) -> QuadExt:
@@ -148,33 +163,56 @@ class ParamVector:
         return ParamVector(self.l0 * f, self.l1 * f, self.rho * f, self.boundary)
 
 
-def _iet_letters(v: ParamVector) -> Iterator[str]:
-    # Orbit arithmetic runs on denominator-cleared integer pairs (a, b)
-    # representing a + b*sqrt(m); one add and one sign test per letter.
-    parts = (v.l0, v.l1, v.rho)
-    m = common_field(*parts)
-    den = math.lcm(*(p.c for p in parts))
+def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
+    # Integer pairs (a, b) stand for (a + b*sqrt(m))/den.  With l0 > l1 the
+    # letter 1 is isolated and each 1 is followed by q or q+1 zeros,
+    # q = floor(l0/l1), so one sign test decides a run.  For l1 > l0 the
+    # coding of (l1, l0, l0+l1-rho) with the other boundary kind is the
+    # letter exchange of this one.
+    l0, l1, x, upper = v.l0, v.l1, v.rho, v.boundary == UPPER
+    total = l0 + l1
+    if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
+        y = x + start * l1
+        x = y - ((y / total).ceil() - 1 if upper else (y / total).floor()) * total
+    zero, one = "0", "1"
+    if l1 > l0:
+        l0, l1, x, upper, zero, one = l1, l0, total - x, not upper, one, zero
+    q = (l0 / l1).floor()
+    m = common_field(l0, l1, x)
+    den = math.lcm(l0.c, l1.c, x.c)
     (l0a, l0b), (l1a, l1b), (xa, xb) = (
-        (p.a * (den // p.c), p.b * (den // p.c)) for p in parts
+        (p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, x)
     )
-    upper = v.boundary == UPPER
+    # x codes 0 when the sign of x - l0 is below lim: x < l0, or x <= l0 (upper)
+    lim = 1 if upper else 0
+    head = 0
+    while surd_sign(xa - l0a, xb - l0b, m) < lim:
+        head, xa, xb = head + 1, xa + l1a, xb + l1b
+    if head:
+        yield zero * head
+    # from a 1 at x the next 1 is q zeros on, at x - l0 + q*l1, or q+1 when
+    # x is below t = 2*l0 - q*l1 by the same rule; d tracks x - t
+    da, db = xa - 2 * l0a + q * l1a, xb - 2 * l0b + q * l1b
+    sa, sb = q * l1a - l0a, q * l1b - l0b
+    short, long = one + zero * q, one + zero * (q + 1)
+    runs = range(max(1, 64 // (q + 1)))  # a block holds about 64 letters
     while True:
-        d = surd_sign(xa - l0a, xb - l0b, m)
-        in_first = d <= 0 if upper else d < 0
-        if in_first:
-            yield "0"
-            xa += l1a
-            xb += l1b
-        else:
-            yield "1"
-            xa -= l0a
-            xb -= l0b
+        block = []
+        for _ in runs:
+            if surd_sign(da, db, m) < lim:
+                block.append(long)
+                da, db = da + sa + l1a, db + sb + l1b
+            else:
+                block.append(short)
+                da, db = da + sa, db + sb
+        yield "".join(block)
 
 
 def iet_stream(v: ParamVector) -> PrefixStream:
     if v.slope.is_rational:
         raise DomainError("rational slope generates a periodic sequence")
-    return PrefixStream(lambda: _iet_letters(v))
+    engine = partial(_iet_letters, v)
+    return PrefixStream(engine, engine)
 
 
 def iet_code(v: ParamVector, n: int) -> str:
@@ -204,15 +242,11 @@ def mechanical(si: SlopeIntercept, n: int) -> str:
 
 
 def word_stream(w: str) -> PrefixStream:
-    """Infinite periodic stream repeating w; test helper surface."""
+    """Infinite periodic stream repeating w, one period per block; test
+    helper surface."""
     if not w or set(w) - {"0", "1"}:
         raise ValueError("need a nonempty binary word")
-
-    def gen():
-        while True:
-            yield from w
-
-    return PrefixStream(gen)
+    return PrefixStream(lambda: repeat(w))
 
 
 def frequency_gap(w: str, slope: QuadExt) -> QuadExt:

@@ -65,6 +65,46 @@ def mechanical_oracle(alpha, delta, m: int, n: int, kind: str = "lower") -> str:
     return "".join(out)
 
 
+def mechanical_letters_at(alpha, delta, m: int, kind: str, positions) -> str:
+    """Letters of the mechanical sequence at the given positions, each the
+    difference of two floors (ceilings for the upper kind) of alpha*k +
+    delta, recomputed for each letter; (a, b, c) triples as in
+    mechanical_oracle."""
+    (a1, b1, c1), (a2, b2, c2) = alpha, delta
+    c = c1 * c2
+
+    def take(k):
+        na, nb = a1 * k * c2 + a2 * c1, b1 * k * c2 + b2 * c1
+        if kind == "lower":
+            return surd_floor(na, nb, m, c)
+        return -surd_floor(-na, -nb, m, c)
+
+    return "".join(str(take(k + 1) - take(k)) for k in positions)
+
+
+def iet_oracle(l0, l1, rho, m: int, n: int, boundary: str = "lower") -> str:
+    """First n letters of the coding of the orbit of rho under the exchange
+    of [0,l0) and [l0,l0+l1) (lower), or of (0,l0] and (l0,l0+l1] (upper).
+
+    l0, l1 and rho are (a, b, c) triples meaning (a + b*sqrt(m))/c; one step
+    and one sign test per letter on the common-denominator numerators.
+    """
+    den = l0[2] * l1[2] * rho[2]
+    (l0a, l0b), (l1a, l1b), (xa, xb) = (
+        (a * (den // c), b * (den // c)) for a, b, c in (l0, l1, rho)
+    )
+    out = []
+    for _ in range(n):
+        d = surd_sign(xa - l0a, xb - l0b, m)
+        if d < 0 or (boundary == "upper" and d == 0):
+            out.append("0")
+            xa, xb = xa + l1a, xb + l1b
+        else:
+            out.append("1")
+            xa, xb = xa - l0a, xb - l0b
+    return "".join(out)
+
+
 def substitute(image0: str, image1: str, w: str) -> str:
     return "".join(image1 if ch == "1" else image0 for ch in w)
 

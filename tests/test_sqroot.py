@@ -22,6 +22,7 @@ from sturmrep.morphisms import (
 from sturmrep.representation import rep
 from sturmrep.sqroot import (
     SquareDecomposition,
+    _square_root_length,
     iter_square_roots,
     shortest_square_prefix,
     sqrt_fixing_morphism,
@@ -38,7 +39,12 @@ from sturmrep.words import (
     word_stream,
 )
 
-from oracles import fixed_point_by_iteration, mechanical_oracle, naive_square_roots
+from oracles import (
+    fixed_point_by_iteration,
+    mechanical_oracle,
+    naive_shortest_square_root,
+    naive_square_roots,
+)
 
 DG2 = parse_genword("DGG")
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
@@ -73,6 +79,34 @@ def test_scan_bound_error():
 
     with pytest.raises(ScanBoundError):
         shortest_square_prefix(PrefixStream(thue_morse), scan_bound=64)
+    # the worst case of the scan: every root length up to the default bound
+    with pytest.raises(ScanBoundError, match="root length <= 10000"):
+        shortest_square_prefix(PrefixStream(thue_morse))
+
+
+def test_shortest_square_prefix_matches_naive_scan():
+    # a periodic stream with a random period u has a root of length at most
+    # |u|, so roots of every length up to 300 reach the doubling windows
+    rng = random.Random(23)
+    for _ in range(200):
+        u = "".join(rng.choice("01") for _ in range(rng.randint(1, 300)))
+        want = naive_shortest_square_root(u * 3)
+        assert shortest_square_prefix(word_stream(u)) == want
+        with pytest.raises(ScanBoundError):
+            shortest_square_prefix(word_stream(u), scan_bound=len(want) - 1)
+
+
+def test_square_root_length_exhaustive():
+    # every binary word of up to 16 letters whose proper prefixes start with
+    # no square, against the direct scan; the z-array reuse is exercised
+    words = [""]
+    while words:
+        w = words.pop()
+        for s in (w + "0", w + "1"):
+            want = next((k for k in range(1, len(s) // 2 + 1) if s[:k] == s[k : 2 * k]), 0)
+            assert _square_root_length(s) == want
+            if not want and len(s) < 16:
+                words.append(s)
 
 
 def test_dg2_root_sequence_and_sqrt_prefix():

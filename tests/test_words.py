@@ -1,15 +1,22 @@
 import random
+import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from sturmrep.dynamics import fixed_point_params, fixed_point_stream
 from sturmrep.errors import DomainError, FieldMismatchError
-from sturmrep.exactfield import QuadExt
+from sturmrep.exactfield import HALF, QuadExt
+from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
+from sturmrep.representation import rep
+from sturmrep.sqroot import square_root_stream
 from sturmrep.words import (
     LOWER,
     UPPER,
     ParamVector,
+    PrefixStream,
     SlopeIntercept,
     frequency_gap,
     iet_code,
@@ -21,7 +28,7 @@ from sturmrep.words import (
     word_stream,
 )
 
-from oracles import mechanical_oracle
+from oracles import iet_oracle, mechanical_letters_at, mechanical_oracle
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 FIB_ALPHA = QuadExt(3, -1, 2, 5)  # (3-sqrt(5))/2
@@ -206,3 +213,154 @@ def test_stream_iteration_matches_prefix():
             break
         out.append(ch)
     assert "".join(out) == s.prefix(9)
+
+
+FIELDS = (2, 3, 5, 7, 13)
+
+
+@st.composite
+def iet_vectors(draw):
+    """2iet vectors with slopes near 0, 1 and 1/2 among others, rho on the
+    interval ends and on an orbit point that hits one, and scalings that
+    make l0 + l1 irrational."""
+    m = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from((LOWER, UPPER)))
+
+    def unit():
+        x = QuadExt(draw(st.integers(-30, 30)), draw(st.integers(1, 9)),
+                    draw(st.integers(1, 30)), m)
+        return x - x.floor()
+
+    base, squeeze = unit(), draw(st.integers(1, 500))
+    alpha = draw(st.sampled_from((
+        base,
+        base / squeeze,  # q = floor(l0/l1) up to about 10^3
+        1 - base / squeeze,
+        HALF + (base - HALF) / (squeeze + 2),  # slope in (1/3, 2/3), q = 1
+    )))
+    rho = draw(st.sampled_from((
+        QuadExt(1) if kind == UPPER else QuadExt(0),
+        1 - alpha,  # rho = l0
+        QuadExt(draw(st.integers(1, 7)), 0, 8),
+        unit(),
+        _frac(alpha * -draw(st.integers(1, 300))),
+    )))
+    scale = draw(st.sampled_from((
+        QuadExt(1),
+        QuadExt(draw(st.integers(1, 9)), 0, draw(st.integers(1, 9))),
+        QuadExt(draw(st.integers(2, 9)), draw(st.sampled_from((-1, 1))), draw(st.integers(1, 5)), m),
+    )))
+    assume(scale > 0)
+    return ParamVector((1 - alpha) * scale, alpha * scale, rho * scale, kind)
+
+
+@st.composite
+def fixed_point_vectors(draw):
+    word = tuple(draw(st.lists(st.sampled_from(tuple(Generator)), min_size=2, max_size=8)))
+    assume(rep(word).block().is_primitive())
+    return fixed_point_params(word)
+
+
+def _triple(x: QuadExt) -> tuple[int, int, int]:
+    return x.a, x.b, x.c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(iet_vectors(), fixed_point_vectors()))
+def test_iet_code_matches_step_oracle(v):
+    n = 3000
+    m = next(x.m for x in (v.l0, v.l1, v.rho) if x.m is not None)
+    want = iet_oracle(_triple(v.l0), _triple(v.l1), _triple(v.rho), m, n, v.boundary)
+    assert iet_code(v, n) == want
+
+
+def _thue_morse():
+    # one letter per step
+    i = 0
+    while True:
+        yield str(bin(i).count("1") % 2)
+        i += 1
+
+
+CHUNKED_STREAMS = {
+    "iet": lambda: iet_stream(ParamVector(1 - FIB_ALPHA, FIB_ALPHA, QuadExt(1, 0, 3), UPPER)),
+    "iet_long_runs": lambda: iet_stream(
+        ParamVector(SQRT3_OVER_3 / 40, 1 - SQRT3_OVER_3 / 40, HALF, LOWER)),
+    "morphism": lambda: compose(parse_genword("GD'DG'")).apply(
+        mechanical_stream(SlopeIntercept(SQRT3_OVER_3, HALF))),
+    "square_root": lambda: square_root_stream(fixed_point_stream(parse_genword("DGG"))),
+    "word": lambda: word_stream("0110100"),
+    "thue_morse": lambda: PrefixStream(_thue_morse),
+    "thue_morse_image": lambda: BinaryMorphism("01", "1").apply(PrefixStream(_thue_morse)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_STREAMS))
+def test_reads_do_not_depend_on_block_boundaries(name):
+    make, n, rng = CHUNKED_STREAMS[name], 700, random.Random(19)
+    whole = make().prefix(n)
+    assert len(whole) == n
+    s = make()
+    assert "".join(s[i] for i in range(n)) == whole
+    s, parts, i = make(), [], 0
+    while i < n:
+        j = min(n, i + rng.randint(0, 40))
+        parts.append(s.slice(i, j))
+        i = j
+    assert "".join(parts) == whole
+    assert "".join(islice(make(), n)) == whole
+    assert "".join(islice(make().blocks(), n))[:n] == whole
+    s = make()
+    for _ in range(60):  # random positions, in random order
+        i = rng.randrange(n)
+        j = min(n, i + rng.randint(0, 40))
+        assert s.slice(i, j) == whole[i:j]
+    assert s.prefix(n) == whole
+
+
+@settings(max_examples=100, deadline=None)
+@given(iet_vectors(), st.integers(0, 5000))
+def test_seek_slices_equal_prefix_slices(v, i):
+    assert iet_stream(v).slice(i, i + 64) == iet_code(v, i + 64)[i:]
+
+
+@pytest.mark.parametrize("kind", (LOWER, UPPER))
+def test_seek_onto_interval_ends(kind):
+    # with rho = frac(-j*alpha) the orbit point of letter j is 0, that is
+    # l0+l1 for the upper kind, and that of letter j-1 is l0; a fresh
+    # stream seeks for starts over 512
+    for j in (600, 777, 4999, 20_000):
+        v = ParamVector(1 - FIB_ALPHA, FIB_ALPHA, _frac(FIB_ALPHA * -j), kind)
+        word = iet_code(v, j + 64)
+        for i in (j - 1, j):
+            assert iet_stream(v).slice(i, j + 64) == word[i:]
+
+
+FAR = 10**12
+
+
+@pytest.mark.parametrize("kind", (LOWER, UPPER))
+def test_far_mechanical_slice_matches_oracle(kind):
+    # the last intercept puts alpha*FAR + delta on an integer, where the two
+    # kinds differ
+    root2 = QuadExt(-1, 1, 1, 2)
+    cases = [(FIB_ALPHA, QuadExt(1, 0, 3)), (root2, _frac(QuadExt(0, 1, 7, 2))),
+             (SQRT3_OVER_3, _frac(SQRT3_OVER_3 * -FAR))]
+    for alpha, delta in cases:
+        t0 = time.perf_counter()
+        got = mechanical_stream(SlopeIntercept(alpha, delta, kind)).slice(FAR, FAR + 64)
+        assert time.perf_counter() - t0 < 2.0
+        want = mechanical_letters_at(
+            _triple(alpha), _triple(delta), alpha.m, kind, range(FAR, FAR + 64))
+        assert got == want
+
+
+def test_prefix_after_far_slice():
+    v = ParamVector(1 - FIB_ALPHA, FIB_ALPHA, QuadExt(2, 0, 7), UPPER)
+    s = iet_stream(v)
+    far = s.slice(FAR, FAR + 64)
+    assert s.prefix(300) == iet_code(v, 300)
+    assert s[FAR + 5] == far[5]
+    assert s.slice(FAR + 10, FAR + 20) == far[10:20]
+    assert s.slice(100, 400) == iet_code(v, 400)[100:]
+    assert s.restart().slice(FAR, FAR + 64) == far
