@@ -43,12 +43,10 @@ def _square_root_length(s: str) -> int:
 
 
 def _shortest_square_at(stream: PrefixStream, offset: int, scan_bound: int) -> str:
-    # roots up to 8 letters by direct comparison in a 16-letter window, the
-    # shortest first; past that the window doubles and each window gets
-    # one linear scan, so the whole search stays linear in the root found
+    # roots up to 8 letters by one regex match on a 16-letter window; past
+    # that the window doubles and gets one linear scan, the shortest first
     half = min(8, scan_bound)
-    square = _SQUARE.match(stream.slice(offset, offset + 2 * half))
-    if square:
+    if square := _SQUARE.match(stream.slice(offset, offset + 2 * half)):
         return square[1]
     while half < scan_bound:
         half = min(2 * half, scan_bound)

@@ -163,12 +163,16 @@ class ParamVector:
         return ParamVector(self.l0 * f, self.l1 * f, self.rho * f, self.boundary)
 
 
+def _repeated(letter: str, n: int) -> Iterator[str]:
+    # n copies of letter in blocks of at most 64
+    return (letter * min(64, n - i) for i in range(0, n, 64))
+
+
 def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
     # Integer pairs (a, b) stand for (a + b*sqrt(m))/den.  With l0 > l1 the
-    # letter 1 is isolated and each 1 is followed by q or q+1 zeros,
-    # q = floor(l0/l1), so one sign test decides a run.  For l1 > l0 the
-    # coding of (l1, l0, l0+l1-rho) with the other boundary kind is the
-    # letter exchange of this one.
+    # letter 1 is isolated and each 1 is followed by q or q+1 zeros, q =
+    # floor(l0/l1), so one sign test decides a run.  For l1 > l0 the coding
+    # of (l1, l0, l0+l1-rho), other boundary kind, is its letter exchange.
     l0, l1, x, upper = v.l0, v.l1, v.rho, v.boundary == UPPER
     total = l0 + l1
     if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
@@ -178,34 +182,35 @@ def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
     if l1 > l0:
         l0, l1, x, upper, zero, one = l1, l0, total - x, not upper, one, zero
     q = (l0 / l1).floor()
+    # x codes 0 while x < l0 (x <= l0, upper): head zeros, each a step by l1
+    steps = (l0 - x) / l1
+    head = max(0, steps.floor() + 1 if upper else steps.ceil())
+    yield from _repeated(zero, head)
+    x += head * l1
     m = common_field(l0, l1, x)
     den = math.lcm(l0.c, l1.c, x.c)
     (l0a, l0b), (l1a, l1b), (xa, xb) = (
         (p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, x)
     )
-    # x codes 0 when the sign of x - l0 is below lim: x < l0, or x <= l0 (upper)
-    lim = 1 if upper else 0
-    head = 0
-    while surd_sign(xa - l0a, xb - l0b, m) < lim:
-        head, xa, xb = head + 1, xa + l1a, xb + l1b
-    if head:
-        yield zero * head
     # from a 1 at x the next 1 is q zeros on, at x - l0 + q*l1, or q+1 when
-    # x is below t = 2*l0 - q*l1 by the same rule; d tracks x - t
+    # x - t has sign < upper, t = 2*l0 - q*l1 (x < t, or x <= t); d is x - t
     da, db = xa - 2 * l0a + q * l1a, xb - 2 * l0b + q * l1b
     sa, sb = q * l1a - l0a, q * l1b - l0b
-    short, long = one + zero * q, one + zero * (q + 1)
+    tail = q if q >= 64 else 0  # a longer run ends in q zeros in pieces
+    short, long = one + zero * (q - tail), one + zero * (q + 1 - tail)
     runs = range(max(1, 64 // (q + 1)))  # a block holds about 64 letters
     while True:
         block = []
         for _ in runs:
-            if surd_sign(da, db, m) < lim:
+            if surd_sign(da, db, m) < upper:
                 block.append(long)
                 da, db = da + sa + l1a, db + sb + l1b
             else:
                 block.append(short)
                 da, db = da + sa, db + sb
         yield "".join(block)
+        if tail:
+            yield from _repeated(zero, tail)
 
 
 def iet_stream(v: ParamVector) -> PrefixStream:
@@ -224,11 +229,8 @@ def iet_code(v: ParamVector, n: int) -> str:
 def params_of(si: SlopeIntercept) -> ParamVector:
     """Parameter vector of the mechanical sequence: (1-alpha, alpha, delta),
     except that a zero intercept means rho = l0+l1 for the upper sequence."""
-    l0 = 1 - si.alpha
-    rho = si.delta
-    if si.kind == UPPER and si.delta == 0:
-        rho = QuadExt(1)
-    return ParamVector(l0, si.alpha, rho, si.kind)
+    rho = QuadExt(1) if si.kind == UPPER and si.delta == 0 else si.delta
+    return ParamVector(1 - si.alpha, si.alpha, rho, si.kind)
 
 
 def mechanical_stream(si: SlopeIntercept) -> PrefixStream:

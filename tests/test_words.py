@@ -355,6 +355,27 @@ def test_far_mechanical_slice_matches_oracle(kind):
         assert got == want
 
 
+@pytest.mark.parametrize("kind", (LOWER, UPPER))
+def test_huge_run_length_costs_only_the_letters_read(kind):
+    # slopes sqrt(2)/10**12 and its complement give runs of about 7*10**11
+    # equal letters; each intercept puts the isolated letter first and again
+    # near position second, which the slice straddles, so the work must
+    # follow the letters read, not the run length
+    small, eps = QuadExt(0, 1, 10**12, 2), QuadExt(1, 0, 10**12)
+    second = ((1 + eps) / small).ceil() - 1
+    for alpha, delta in ((small, 1 - eps), (1 - small, eps)):
+        si = SlopeIntercept(alpha, delta, kind)
+        t0 = time.perf_counter()
+        got = mechanical(si, 80)
+        far = mechanical_stream(si).slice(second - 32, second + 32)
+        assert time.perf_counter() - t0 < 2.0
+        assert got == mechanical_oracle(_triple(alpha), _triple(delta), 2, 80, kind)
+        assert got[0] != got[1]
+        want = mechanical_letters_at(
+            _triple(alpha), _triple(delta), 2, kind, range(second - 32, second + 32))
+        assert far == want and len(set(want)) == 2
+
+
 def test_prefix_after_far_slice():
     v = ParamVector(1 - FIB_ALPHA, FIB_ALPHA, QuadExt(2, 0, 7), UPPER)
     s = iet_stream(v)
