@@ -22,10 +22,8 @@ from .words import (
     SlopeIntercept,
     iet_code,
     iet_stream,
-    is_palindrome,
     mechanical,
     mechanical_stream,
-    mirror,
     params_of,
 )
 from .morphisms import (

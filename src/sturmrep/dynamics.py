@@ -81,16 +81,20 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     """Prefix of the fixed point of phi starting with first_letter, grown by
     iterating phi; requires phi(first_letter) to start with that letter and
     to be expanding."""
+    stuck = f"no expanding fixed point starts with {first_letter!r} for {phi}"
     img = phi.apply(first_letter)
     if not img.startswith(first_letter) or len(img) < 2:
-        raise DomainError(
-            f"no expanding fixed point starts with {first_letter!r} for {phi}"
-        )
+        raise DomainError(stuck)
     # k letters map to >= k * (shortest image) letters: s[:k] reaches n once len(s) >= k
     k = -(-n // (min(len(phi.image0), len(phi.image1)) or 1))
     s = first_letter
     while len(s) < n:
-        s = phi.apply(s[:k])
+        grown = phi.apply(s[:k])
+        # each round's prefix starts with the last one, so a round that does
+        # not lengthen it leaves it stuck for good
+        if len(grown) == len(s):
+            raise DomainError(stuck)
+        s = grown
     return s[:n]
 
 

@@ -2,9 +2,13 @@
 
 The input stream is cut greedily into blocks w*w where each w*w is the
 shortest square prefix of what remains; the square root is the stream of
-the roots w.  For the fixed point of a characteristic-fixing morphism the
-root stream is itself fixed by a palindromic morphism built from a small
-power of the representation matrix.
+the roots w.  The cut is one regex scan over one window of the stream's
+blocks: each root is one regex match, shortest root first, at the current
+position, and when the unread part of the window holds no square it grows
+to twice its length, up to twice the scan bound.  For the fixed point of
+a characteristic-fixing morphism the root stream is itself fixed by a
+palindromic morphism built from a small power of the representation
+matrix.
 """
 
 from __future__ import annotations
@@ -22,47 +26,12 @@ DEFAULT_SCAN_BOUND = 10_000
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
 
 
-def _square_root_length(s: str) -> int:
-    """Length of the shortest w with s starting w*w, 0 when no square fits
-    in s.  This is the Z-algorithm run over the first half of s: z[i] is
-    the length of the longest common prefix of s and s[i:], and the first
-    i with z[i] >= i is the answer, so z is capped there."""
-    half = len(s) // 2
-    z = [0] * (half + 1)
-    left = right = 0
-    for i in range(1, half + 1):
-        k = min(right - i, z[i - left]) if i < right else 0
-        while k < i and s[k] == s[i + k]:
-            k += 1
-        if k == i:
-            return i
-        z[i] = k
-        if i + k > right:
-            left, right = i, i + k
-    return 0
-
-
-def _shortest_square_at(stream: PrefixStream, offset: int, scan_bound: int) -> str:
-    # roots up to 8 letters by one regex match on a 16-letter window; past
-    # that the window doubles and gets one linear scan, the shortest first
-    half = min(8, scan_bound)
-    if square := _SQUARE.match(stream.slice(offset, offset + 2 * half)):
-        return square[1]
-    while half < scan_bound:
-        half = min(2 * half, scan_bound)
-        s = stream.slice(offset, offset + 2 * half)
-        length = _square_root_length(s)
-        if length:
-            return s[:length]
-    raise ScanBoundError(f"no square prefix with root length <= {scan_bound}")
-
-
 def shortest_square_prefix(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> str:
     """Root w of the shortest prefix of the form w*w; roots longer than
     scan_bound are not searched and raise instead."""
-    return _shortest_square_at(stream, 0, scan_bound)
+    return next(iter_square_roots(stream, scan_bound))
 
 
 def iter_square_roots(
@@ -70,11 +39,27 @@ def iter_square_roots(
 ) -> Iterator[str]:
     """Roots of the greedy square-block decomposition, in order.  Reads the
     stream through its buffer only, so the caller may keep using it."""
-    offset = 0
+    if scan_bound < 0:
+        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
+    blocks = stream.blocks()
+    window, pos = "", 0
     while True:
-        root = _shortest_square_at(stream, offset, scan_bound)
-        yield root
-        offset += 2 * len(root)
+        # the lazy group tries roots shortest first, up to scan_bound letters
+        if square := _SQUARE.match(window, pos, pos + 2 * scan_bound):
+            yield square[1]
+            pos = square.end()
+            continue
+        unread = len(window) - pos
+        if unread >= 2 * scan_bound:
+            raise ScanBoundError(f"no square prefix with root length <= {scan_bound}")
+        # no root up to unread/2: double the unread part, so the failed
+        # matches of a long search cost about as much as its last one
+        want = min(max(16, 2 * unread), 2 * scan_bound)
+        parts = [window[pos:]]
+        while unread < want:
+            parts.append(next(blocks))
+            unread += len(parts[-1])
+        window, pos = "".join(parts), 0
 
 
 def square_root_stream(
@@ -90,12 +75,6 @@ class SquareDecomposition:
     the shortest square prefix of the remaining sequence."""
 
     roots: tuple[str, ...]
-
-    def reconstruct(self) -> str:
-        return "".join(w + w for w in self.roots)
-
-    def root_alphabet(self) -> frozenset[str]:
-        return frozenset(self.roots)
 
     def __str__(self) -> str:
         return " ".join(f"{w}^2" for w in self.roots)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import DomainError
@@ -23,14 +23,6 @@ from .exactfield import QuadExt, common_field, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
-
-
-def is_palindrome(w: str) -> bool:
-    return w == w[::-1]
-
-
-def mirror(w: str) -> str:
-    return w[::-1]
 
 
 class PrefixStream:
@@ -242,16 +234,3 @@ def mechanical(si: SlopeIntercept, n: int) -> str:
     intercept and boundary kind."""
     return mechanical_stream(si).prefix(n)
 
-
-def word_stream(w: str) -> PrefixStream:
-    """Infinite periodic stream repeating w, one period per block; test
-    helper surface."""
-    if not w or set(w) - {"0", "1"}:
-        raise ValueError("need a nonempty binary word")
-    return PrefixStream(lambda: repeat(w))
-
-
-def frequency_gap(w: str, slope: QuadExt) -> QuadExt:
-    """|count of 1s - n*slope| for the n-letter word w, exact."""
-    gap = w.count("1") - slope * len(w)
-    return gap if gap.sign() >= 0 else -gap

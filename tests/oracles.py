@@ -5,6 +5,7 @@ arithmetic: floors come from raw integer comparisons, sequences from the
 defining formulas, squares from naive string scans.
 """
 
+from itertools import repeat
 from math import isqrt
 
 
@@ -114,6 +115,17 @@ def fixed_point_by_iteration(image0: str, image1: str, start: str, n: int) -> st
     while len(s) < n:
         s = substitute(image0, image1, s)
     return s[:n]
+
+
+def word_stream(w: str):
+    """Infinite periodic PrefixStream repeating w, one period per block."""
+    # imported here: the oracles above stay loadable without the package,
+    # which bench/reference.py relies on
+    from sturmrep.words import PrefixStream
+
+    if not w or set(w) - {"0", "1"}:
+        raise ValueError("need a nonempty binary word")
+    return PrefixStream(lambda: repeat(w))
 
 
 def naive_shortest_square_root(s: str, start: int = 0) -> str:

@@ -22,7 +22,7 @@ from sturmrep.dynamics import (
 )
 from sturmrep.errors import DomainError, FieldMismatchError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, compose, parse_genword
+from sturmrep.morphisms import D, DT, G, GT, BinaryMorphism, compose, parse_genword
 from sturmrep.representation import rep
 from sturmrep.words import (
     LOWER,
@@ -144,6 +144,14 @@ def test_iterate_fixed_point_rejects_wrong_letter():
     phi = compose(DG2)  # both images start with 1
     with pytest.raises(DomainError):
         iterate_fixed_point(phi, "0", 10)
+
+
+def test_iterate_fixed_point_rejects_a_stuck_prefix():
+    # 0 -> 01 -> 01 -> ...: the first image grows, the next round does not
+    phi = BinaryMorphism("01", "")
+    assert iterate_fixed_point(phi, "0", 2) == "01"
+    with pytest.raises(DomainError, match="no expanding fixed point"):
+        iterate_fixed_point(phi, "0", 5)
 
 
 def test_intercept_class_examples():

@@ -23,9 +23,8 @@ from sturmrep.morphisms import (
     rightmost_conjugate,
 )
 from sturmrep.representation import rep
-from sturmrep.words import word_stream
 
-from oracles import fixed_point_by_iteration, substitute
+from oracles import fixed_point_by_iteration, substitute, word_stream
 
 ALL = (G, GT, D, DT)
 genwords = st.lists(st.sampled_from(ALL), max_size=10).map(tuple)

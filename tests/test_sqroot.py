@@ -1,6 +1,9 @@
 import random
+import time
+from itertools import cycle, islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sturmrep import verify
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
@@ -22,7 +25,6 @@ from sturmrep.morphisms import (
 from sturmrep.representation import rep
 from sturmrep.sqroot import (
     SquareDecomposition,
-    _square_root_length,
     iter_square_roots,
     shortest_square_prefix,
     sqrt_fixing_morphism,
@@ -36,7 +38,6 @@ from sturmrep.words import (
     SlopeIntercept,
     iet_stream,
     mechanical_stream,
-    word_stream,
 )
 
 from oracles import (
@@ -44,6 +45,7 @@ from oracles import (
     mechanical_oracle,
     naive_shortest_square_root,
     naive_square_roots,
+    word_stream,
 )
 
 DG2 = parse_genword("DGG")
@@ -69,19 +71,35 @@ def test_shortest_square_prefix_examples():
     assert shortest_square_prefix(word_stream("0")) == "0"
 
 
+def _thue_morse():
+    i = 0
+    while True:
+        yield str(bin(i).count("1") % 2)
+        i += 1
+
+
 def test_scan_bound_error():
     # Thue-Morse has no square prefix at all
-    def thue_morse():
-        i = 0
-        while True:
-            yield str(bin(i).count("1") % 2)
-            i += 1
-
     with pytest.raises(ScanBoundError):
-        shortest_square_prefix(PrefixStream(thue_morse), scan_bound=64)
-    # the worst case of the scan: every root length up to the default bound
+        shortest_square_prefix(PrefixStream(_thue_morse), scan_bound=64)
+    # the worst case of the scan: every root length up to the bound; a
+    # window that grew by one block per miss took 30 s at 3*10^4
+    start = time.perf_counter()
     with pytest.raises(ScanBoundError, match="root length <= 10000"):
-        shortest_square_prefix(PrefixStream(thue_morse))
+        shortest_square_prefix(PrefixStream(_thue_morse))
+    with pytest.raises(ScanBoundError, match="root length <= 100000"):
+        shortest_square_prefix(PrefixStream(_thue_morse), scan_bound=10**5)
+    assert time.perf_counter() - start < 2
+
+
+def test_negative_scan_bound_is_rejected():
+    for read in (
+        lambda s: shortest_square_prefix(s, scan_bound=-1),
+        lambda s: next(iter_square_roots(s, scan_bound=-1)),
+        lambda s: square_root_stream(s, scan_bound=-1).prefix(1),
+    ):
+        with pytest.raises(ValueError, match="scan_bound must be non-negative"):
+            read(fixed_point_stream(DG2))
 
 
 def test_shortest_square_prefix_matches_naive_scan():
@@ -97,16 +115,51 @@ def test_shortest_square_prefix_matches_naive_scan():
 
 
 def test_square_root_length_exhaustive():
-    # every binary word of up to 16 letters whose proper prefixes start with
-    # no square, against the direct scan; the z-array reuse is exercised
+    # every binary word s of up to 16 letters whose proper prefixes start
+    # with no square, as the whole stream, with the bound that fits in s
     words = [""]
     while words:
         w = words.pop()
         for s in (w + "0", w + "1"):
             want = next((k for k in range(1, len(s) // 2 + 1) if s[:k] == s[k : 2 * k]), 0)
-            assert _square_root_length(s) == want
-            if not want and len(s) < 16:
-                words.append(s)
+            stream = PrefixStream(lambda: iter([s]))
+            if want:
+                assert shortest_square_prefix(stream, scan_bound=len(s) // 2) == s[:want]
+            else:
+                with pytest.raises(ScanBoundError):
+                    shortest_square_prefix(stream, scan_bound=len(s) // 2)
+                if len(s) < 16:
+                    words.append(s)
+
+
+def _recut(base: PrefixStream, widths: list[int]) -> PrefixStream:
+    # the letters of base in blocks of the given widths, cycled
+    def blocks():
+        letters = iter(base.restart())
+        for width in cycle(widths):
+            yield "".join(islice(letters, width))
+
+    return PrefixStream(blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from((G, D)), min_size=2, max_size=6)
+        .filter(lambda word: {G, D} <= set(word))
+        .map(lambda word: fixed_point_stream(tuple(word))),
+        st.text("01", min_size=1, max_size=200).map(word_stream),
+    ),
+    st.lists(st.integers(1, 200), min_size=1, max_size=20),
+)
+def test_roots_do_not_depend_on_block_cuts(base, widths):
+    # a periodic root is at most 200 letters, so 20 roots fit in 8000
+    u = base.prefix(8000)
+    want = naive_square_roots(u, 20)
+    read_ahead = base.restart()
+    read_ahead.prefix(8000)  # its blocks() then starts with one 8000-letter block
+    for stream in (_recut(base, widths), read_ahead):
+        assert list(islice(iter_square_roots(stream), 20)) == want
 
 
 def test_dg2_root_sequence_and_sqrt_prefix():
@@ -171,9 +224,9 @@ def test_square_decomposition_object():
     dec = square_decomposition(fixed_point_stream(DG2), 4)
     assert dec == SquareDecomposition(("10", "1", "01", "0110101"))
     assert str(dec) == "10^2 1^2 01^2 0110101^2"
-    u = fixed_point_stream(DG2).prefix(len(dec.reconstruct()))
-    assert dec.reconstruct() == u
-    assert dec.root_alphabet() == {"10", "1", "01", "0110101"}
+    blocks = "".join(w + w for w in dec.roots)
+    assert blocks == fixed_point_stream(DG2).prefix(len(blocks))
+    assert set(dec.roots) == {"10", "1", "01", "0110101"}
 
 
 def test_sqrt_fixing_morphism_dg2():
