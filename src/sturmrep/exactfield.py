@@ -58,6 +58,21 @@ def surd_sign(a: int, b: int, m: int | None) -> int:
     return s if a > 0 else -s
 
 
+def surd_floor(a: int, b: int, m: int | None, c: int) -> int:
+    """floor((a + b*sqrt(m))/c) for integers a, b, c > 0 and m as in
+    surd_sign.  An isqrt estimate seeds the answer; exact sign tests
+    certify and correct it."""
+    if b == 0:
+        return a // c
+    r = math.isqrt(b * b * m)
+    k = (a + (r if b > 0 else -(r + 1))) // c
+    while surd_sign(a - (k + 1) * c, b, m) >= 0:
+        k += 1
+    while surd_sign(a - k * c, b, m) < 0:
+        k -= 1
+    return k
+
+
 def common_field(*values: QuadExt) -> int | None:
     """Radicand shared by the irrational values, None when all are rational;
     values from two distinct fields raise FieldMismatchError."""
@@ -134,18 +149,7 @@ class QuadExt:
         return surd_sign(self.a, self.b, self.m)
 
     def floor(self) -> int:
-        """Greatest integer <= value.  An isqrt estimate seeds the answer;
-        exact sign tests certify and correct it."""
-        if self.b == 0:
-            return self.a // self.c
-        r = math.isqrt(self.b * self.b * self.m)
-        est = self.a + (r if self.b > 0 else -(r + 1))
-        k = est // self.c
-        while (self - (k + 1)).sign() >= 0:
-            k += 1
-        while (self - k).sign() < 0:
-            k -= 1
-        return k
+        return surd_floor(self.a, self.b, self.m, self.c)
 
     def ceil(self) -> int:
         return -((-self).floor())

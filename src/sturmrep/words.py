@@ -3,11 +3,13 @@
 Finite words are plain str over "01".  Infinite sequences are PrefixStream
 objects fed by iterators of str blocks of letters.  Their one engine is the
 orbit coding of a two-interval exchange, run on denominator-cleared integer
-pairs with exact sign tests, never floats: one test per run of the repeated
-letter, blocks of about 64 letters, and a seek that starts the orbit at any
-letter after one exact floor.  A mechanical sequence of slope alpha and
-intercept delta is the coding of the parameter vector (1-alpha, alpha,
-delta), see params_of.
+pairs with exact sign tests and floors, never floats.  The runs of the
+repeated letter code the induced exchange (one Euclid step, or Rauzy
+induction), so the engine goes down level by level, composing the run
+words, until a run holds 64 letters or more; there one sign test decides a
+run.  A seek starts the orbit at any letter after one exact floor.  A
+mechanical sequence of slope alpha and intercept delta is the coding of the
+parameter vector (1-alpha, alpha, delta), see params_of.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import DomainError
-from .exactfield import QuadExt, common_field, surd_sign
+from .exactfield import QuadExt, common_field, surd_floor, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
@@ -144,10 +146,6 @@ class ParamVector:
         if not ok:
             raise DomainError("starting point outside the exchanged intervals")
 
-    @property
-    def slope(self) -> QuadExt:
-        return self.l1 / (self.l0 + self.l1)
-
     def scaled(self, factor) -> ParamVector:
         f = _as_field(factor)
         if not f > 0:
@@ -155,58 +153,78 @@ class ParamVector:
         return ParamVector(self.l0 * f, self.l1 * f, self.rho * f, self.boundary)
 
 
-def _repeated(letter: str, n: int) -> Iterator[str]:
-    # n copies of letter in blocks of at most 64
-    return (letter * min(64, n - i) for i in range(0, n, 64))
+def _repeated(word: str, n: int) -> Iterator[str]:
+    # n copies of word in blocks of about 64 letters
+    k = max(1, 64 // len(word))
+    return (word * min(k, n - i) for i in range(0, n, k))
+
+
+def _most_steps(ua: int, ub: int, va: int, vb: int, m: int, strict: bool) -> int:
+    # the largest k with k*v <= u, or k*v < u when strict, for pairs (a, b)
+    # standing for a + b*sqrt(m) and v > 0: one floor of u*conj(v)/norm(v)
+    n, a, b = va * va - vb * vb * m, ua * va - ub * vb * m, ub * va - ua * vb
+    if n < 0:
+        n, a, b = -n, -a, -b
+    return -surd_floor(-a, -b, m, n) - 1 if strict else surd_floor(a, b, m, n)
 
 
 def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
-    # Integer pairs (a, b) stand for (a + b*sqrt(m))/den.  With l0 > l1 the
-    # letter 1 is isolated and each 1 is followed by q or q+1 zeros, q =
-    # floor(l0/l1), so one sign test decides a run.  For l1 > l0 the coding
-    # of (l1, l0, l0+l1-rho), other boundary kind, is its letter exchange.
-    l0, l1, x, upper = v.l0, v.l1, v.rho, v.boundary == UPPER
-    total = l0 + l1
-    if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
-        y = x + start * l1
-        x = y - ((y / total).ceil() - 1 if upper else (y / total).floor()) * total
-    zero, one = "0", "1"
-    if l1 > l0:
-        l0, l1, x, upper, zero, one = l1, l0, total - x, not upper, one, zero
-    q = (l0 / l1).floor()
-    # x codes 0 while x < l0 (x <= l0, upper): head zeros, each a step by l1
-    steps = (l0 - x) / l1
-    head = max(0, steps.floor() + 1 if upper else steps.ceil())
-    yield from _repeated(zero, head)
-    x += head * l1
-    m = common_field(l0, l1, x)
-    den = math.lcm(l0.c, l1.c, x.c)
+    # Integer pairs (a, b) stand for (a + b*sqrt(m))/den.  Each level codes
+    # the exchange (l0, l1, x) with its letters standing for the words zero
+    # and one.  For l1 > l0 the coding of (l1, l0, l0+l1-x), other boundary
+    # kind, is its letter exchange.  With l0 > l1 each one is followed by q
+    # or q+1 zeros, q = floor(l0/l1), and after a head of zeros these runs
+    # code the exchange (r, l1-r, x-l0), r = l0 - q*l1, of the same kind.
+    m = common_field(v.l0, v.l1, v.rho)
+    den = math.lcm(v.l0.c, v.l1.c, v.rho.c)
     (l0a, l0b), (l1a, l1b), (xa, xb) = (
-        (p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, x)
+        (p.a * (den // p.c), p.b * (den // p.c)) for p in (v.l0, v.l1, v.rho)
     )
-    # from a 1 at x the next 1 is q zeros on, at x - l0 + q*l1, or q+1 when
-    # x - t has sign < upper, t = 2*l0 - q*l1 (x < t, or x <= t); d is x - t
+    upper = v.boundary == UPPER
+    if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
+        xa, xb = xa + start * l1a, xb + start * l1b
+        k = _most_steps(xa, xb, l0a + l1a, l0b + l1b, m, upper)
+        xa, xb = xa - k * (l0a + l1a), xb - k * (l0b + l1b)
+    zero, one = "0", "1"
+    while True:
+        if surd_sign(l1a - l0a, l1b - l0b, m) > 0:
+            l0a, l0b, l1a, l1b = l1a, l1b, l0a, l0b
+            xa, xb = l0a + l1a - xa, l0b + l1b - xb
+            upper, zero, one = not upper, one, zero
+        q = _most_steps(l0a, l0b, l1a, l1b, m, False)
+        # x codes zero while x < l0 (x <= l0, upper), each a step by l1
+        head = max(0, _most_steps(l0a - xa, l0b - xb, l1a, l1b, m, not upper) + 1)
+        yield from _repeated(zero, head)
+        xa, xb = xa + head * l1a, xb + head * l1b
+        if len(one) + q * len(zero) >= 64:  # every q >= 64 stops here
+            break
+        # one Euclid step: the runs one+zero*(q+1) and one+zero*q are the
+        # letters of the next level
+        ra, rb = l0a - q * l1a, l0b - q * l1b
+        xa, xb, l0a, l0b, l1a, l1b = xa - l0a, xb - l0b, ra, rb, l1a - ra, l1b - rb
+        zero, one = one + zero * (q + 1), one + zero * q
+    # the deepest level: from a one at x the next one is q zeros on, at x -
+    # l0 + q*l1, or q+1 when x - t has sign < upper, t = 2*l0 - q*l1; d is
+    # x - t.  A run has 64 letters or more here, so it is a block by itself.
     da, db = xa - 2 * l0a + q * l1a, xb - 2 * l0b + q * l1b
     sa, sb = q * l1a - l0a, q * l1b - l0b
     tail = q if q >= 64 else 0  # a longer run ends in q zeros in pieces
     short, long = one + zero * (q - tail), one + zero * (q + 1 - tail)
-    runs = range(max(1, 64 // (q + 1)))  # a block holds about 64 letters
     while True:
-        block = []
-        for _ in runs:
-            if surd_sign(da, db, m) < upper:
-                block.append(long)
-                da, db = da + sa + l1a, db + sb + l1b
-            else:
-                block.append(short)
-                da, db = da + sa, db + sb
-        yield "".join(block)
+        if surd_sign(da, db, m) < upper:
+            yield long
+            da, db = da + sa + l1a, db + sb + l1b
+        else:
+            yield short
+            da, db = da + sa, db + sb
         if tail:
             yield from _repeated(zero, tail)
 
 
 def iet_stream(v: ParamVector) -> PrefixStream:
-    if v.slope.is_rational:
+    # the slope l1/(l0+l1) is rational when the numerators of l0 and l1 are
+    # proportional
+    if v.l0.a * v.l1.b == v.l0.b * v.l1.a:
         raise DomainError("rational slope generates a periodic sequence")
     engine = partial(_iet_letters, v)
     return PrefixStream(engine, engine)

@@ -93,6 +93,33 @@ def test_floor_matches_oracle(x):
     assert x.floor() == surd_floor(x.a, x.b, x.m, x.c)
 
 
+@given(st.integers(-10**40, 10**40), st.integers(-10**20, 10**20),
+       st.sampled_from(SQUARE_FREE), st.integers(1, 10**30))
+def test_surd_floor_matches_oracle(a, b, m, c):
+    assert exactfield.surd_floor(a, b, m, c) == surd_floor(a, b, m, c)
+
+
+def _pell_unit(m: int, n: int) -> tuple[int, int]:
+    # (x, y) with x + y*sqrt(m) the n-th power of the least solution of
+    # x*x - m*y*y = +-1, so that x - y*sqrt(m) is about 1/(2x)
+    x1, y1 = next((x, y) for y in range(1, 200) for x in [math.isqrt(m * y * y + 1)]
+                  if abs(x * x - m * y * y) == 1)
+    x, y = 1, 0
+    for _ in range(n):
+        x, y = x * x1 + y * y1 * m, x * y1 + y * x1
+    return x, y
+
+
+@given(st.sampled_from(SQUARE_FREE), st.integers(1, 12), st.integers(-10**6, 10**6),
+       st.integers(1, 10**30), st.sampled_from((-1, 1)), st.integers(-1, 1))
+def test_surd_floor_near_integers(m, n, k, c, s, shift):
+    # (a + b*sqrt(m))/c = k + (s*(x - y*sqrt(m)) + shift)/c lies within
+    # 1/(2xc) of k + shift/c, on either side; a and b take both signs
+    x, y = _pell_unit(m, n)
+    a, b = k * c + s * x + shift, -s * y
+    assert exactfield.surd_floor(a, b, m, c) == surd_floor(a, b, m, c)
+
+
 @given(values)
 def test_sign_matches_oracle(x):
     assert x.sign() == surd_sign(x.a, x.b, x.m)
@@ -102,14 +129,11 @@ def test_surd_sign_on_raw_pairs_near_zero():
     # the 2iet loop hands surd_sign unreduced integer pairs; Pell solutions
     # x*x - m*y*y = +-1 put a + b*sqrt(m) as close to 0 as integers allow
     for m in SQUARE_FREE:
-        x, y = next((x, y) for y in range(1, 200) for x in [math.isqrt(m * y * y + 1)]
-                    if abs(x * x - m * y * y) == 1)
-        a, b = x, y
-        for _ in range(30):
+        for n in range(1, 31):
+            a, b = _pell_unit(m, n)
             for f in (1, 6, 10**12):
                 for pa, pb in ((f * a, -f * b), (-f * a, f * b), (f * a, f * b), (0, -f * b)):
                     assert exactfield.surd_sign(pa, pb, m) == surd_sign(pa, pb, m)
-            a, b = a * x + m * b * y, a * y + b * x
     assert exactfield.surd_sign(-4, 0, None) == -1
 
 

@@ -105,6 +105,10 @@ def test_rational_slope_rejected():
             iet_code(v, n)
     with pytest.raises(DomainError):
         iet_stream(v)
+    # l0/l1 = 5/6 with both lengths irrational and no common denominator
+    v = ParamVector(QuadExt(1, 1, 3, 2), QuadExt(2, 2, 5, 2), QuadExt(0))
+    with pytest.raises(DomainError, match="rational slope"):
+        iet_stream(v)
 
 
 def test_lower_upper_disagree_on_at_most_two_adjacent_positions():
@@ -138,7 +142,7 @@ def test_letter_frequency_three_distance_bound():
     v = ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, QuadExt(1, 0, 3))
     n = 10_000
     w = iet_code(v, n)
-    gap = w.count("1") - v.slope * n
+    gap = w.count("1") - v.l1 / (v.l0 + v.l1) * n
     assert -2 <= gap <= 2
 
 
@@ -252,6 +256,58 @@ def test_iet_code_matches_step_oracle(v):
     assert iet_code(v, n) == want
 
 
+@st.composite
+def small_quotient_vectors(draw):
+    """Vectors whose slopes have small partial quotients, so that the engine
+    takes several Euclid steps: frac((p + sqrt(m))/r) or one minus it, or
+    the fixed-point vector of a primitive word; both kinds, and rho on an
+    interval end, on an orbit point of one, or inside."""
+    if draw(st.booleans()):
+        return draw(fixed_point_vectors())
+    m = draw(st.sampled_from((2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23)))
+    kind = draw(st.sampled_from((LOWER, UPPER)))
+    alpha = _frac(QuadExt(draw(st.integers(-20, 20)), 1, draw(st.integers(1, 6)), m))
+    if draw(st.booleans()):
+        alpha = 1 - alpha
+    rho = draw(st.sampled_from((
+        QuadExt(1) if kind == UPPER else QuadExt(0),
+        1 - alpha,
+        _frac(alpha * -draw(st.integers(1, 10_000))),
+        QuadExt(draw(st.integers(1, 6)), 0, 7),
+    )))
+    return ParamVector(1 - alpha, alpha, rho, kind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_quotient_vectors(), st.integers(20_000, 60_000))
+def test_euclid_levels_match_step_oracle(v, n):
+    m = next(x.m for x in (v.l0, v.l1, v.rho) if x.m is not None)
+    want = iet_oracle(_triple(v.l0), _triple(v.l1), _triple(v.rho), m, n, v.boundary)
+    assert iet_code(v, n) == want
+
+
+@pytest.mark.parametrize("kind", (LOWER, UPPER))
+def test_huge_partial_quotient_below_the_first_level(kind):
+    # alpha = [0; 2, N, 2, 2, ...], N = 10**12: after one Euclid step with
+    # q = 1 the exchange has q = N - 1, so runs of about 10**12 copies of
+    # 10 (or 01) lie one level down.  With gamma = 1 - 2*alpha and delta =
+    # gamma/2 a doubled letter stands at 0 and the next at position far
+    beta = QuadExt(10**12 - 1, 1, 1, 2)  # [N; 2, 2, ...]
+    alpha = 1 / (2 + 1 / beta)
+    gamma = 1 - 2 * alpha
+    far = 2 * (1 / (2 * gamma)).floor() + 1
+    for a, d in ((alpha, gamma / 2), (1 - alpha, 1 - gamma / 2)):
+        si = SlopeIntercept(a, d, kind)
+        t0 = time.perf_counter()
+        got = mechanical(si, 80)
+        near = mechanical_stream(si).slice(far - 32, far + 32)
+        assert time.perf_counter() - t0 < 2.0
+        assert got == mechanical_oracle(_triple(a), _triple(d), 2, 80, kind)
+        assert got[0] == got[1] and got[1] != got[2]
+        want = mechanical_letters_at(_triple(a), _triple(d), 2, kind, range(far - 32, far + 32))
+        assert near == want and want[32] == want[33]
+
+
 def _thue_morse():
     # one letter per step
     i = 0
@@ -297,7 +353,7 @@ def test_reads_do_not_depend_on_block_boundaries(name):
 
 
 @settings(max_examples=100, deadline=None)
-@given(iet_vectors(), st.integers(0, 5000))
+@given(iet_vectors(), st.integers(0, 10**5))
 def test_seek_slices_equal_prefix_slices(v, i):
     assert iet_stream(v).slice(i, i + 64) == iet_code(v, i + 64)[i:]
 
