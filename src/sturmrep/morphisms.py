@@ -132,7 +132,8 @@ def parse_int_rows(text: str, size: int) -> list[list[int]]:
         or any(
             not isinstance(r, list)
             or len(r) != size
-            or any(not isinstance(x, int) for x in r)
+            # bool is a subclass of int, so JSON true/false need the exact type
+            or any(type(x) is not int for x in r)
             for r in rows
         )
     ):
@@ -220,11 +221,26 @@ def gen_morphism(g: Generator) -> BinaryMorphism:
 
 
 def compose(word: GenWord) -> BinaryMorphism:
-    """Morphism named by the generator word; the empty word is the identity."""
-    acc = IDENTITY
+    """Morphism named by the generator word; the empty word is the identity.
+
+    With images (x, y) so far, composing on the right with a generator
+    concatenates them: G gives y = x+y, G' gives y = y+x, D gives x = y+x
+    and D' gives x = x+y.  One concatenation per generator, one
+    BinaryMorphism at the end.
+    """
+    x, y = "0", "1"
     for g in word:
-        acc = acc * GENERATOR_IMAGES[g]
-    return acc
+        if g is G:
+            y = x + y
+        elif g is GT:
+            y = y + x
+        elif g is D:
+            x = y + x
+        elif g is DT:
+            x = x + y
+        else:
+            raise KeyError(g)
+    return BinaryMorphism(x, y)
 
 
 def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:

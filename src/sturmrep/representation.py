@@ -38,13 +38,17 @@ class Mat3:
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def __mul__(self, other: Mat3) -> Mat3:
+        """Matrix product, written out as nine sums of three terms; the
+        result goes through the validating constructor like any Mat3."""
         if not isinstance(other, Mat3):
             return NotImplemented
-        x, y = self.rows, other.rows
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
+        (p, q, r), (s, t, u), (v, w, x) = other.rows
         return Mat3(
-            tuple(
-                tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
-                for i in range(3)
+            (
+                (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
+                (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
+                (g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x),
             )
         )
 
@@ -117,12 +121,50 @@ def rep_gen(g: Generator) -> Mat3:
     return REP_GEN[g]
 
 
-def rep(word: GenWord) -> Mat3:
-    """Representation matrix of a generator word (ordered product)."""
-    out = Mat3.identity()
+# Generators per leaf of rep's product tree.  Column additions cost one
+# bignum addition per generator, so a long word alone would be quadratic in
+# its entries' bit size; leaves keep the additions on small entries and
+# leave the large ones to a few balanced Mat3 products.
+_LEAF = 64
+
+
+def _leaf(word: GenWord) -> Mat3:
+    """rep of a short word, by column additions."""
+    a, b, c, d, e, f = 1, 0, 0, 1, 0, 0
     for g in word:
-        out = out * REP_GEN[g]
-    return out
+        if g is G:
+            b, d, f = b + a, d + c, f + e
+        elif g is GT:
+            b, d, f = b + a, d + c, f + e + 1
+        elif g is DT:
+            a, c, e = a + b, c + d, e + f
+        elif g is D:
+            a, c, e = a + b, c + d, e + f + 1
+        else:
+            raise KeyError(g)
+    return Mat3(((a, b, 0), (c, d, 0), (e, f, 1)))
+
+
+def rep(word: GenWord) -> Mat3:
+    """Representation matrix of a generator word: the ordered product of
+    the generator matrices.
+
+    Each leaf of 64 generators is built by column additions on
+    (A, B, C, D, E, F): G adds column A,C,E to column B,D,F, G' also adds 1
+    to F, D' adds column B,D,F to A,C,E, and D also adds 1 to E; the third
+    column stays (0, 0, 1).  Neighbouring leaves are then multiplied
+    pairwise, level by level, so the large entries meet in a balanced tree
+    of Mat3 products.
+    """
+    word = tuple(word)
+    level = [_leaf(word[i : i + _LEAF]) for i in range(0, len(word), _LEAF)]
+    level = level or [Mat3.identity()]
+    while len(level) > 1:
+        level = [
+            level[i] * level[i + 1] if i + 1 < len(level) else level[i]
+            for i in range(0, len(level), 2)
+        ]
+    return level[0]
 
 
 def rep_exchange() -> Mat3:

@@ -156,6 +156,36 @@ def mat_mul_3(x, y):
     )
 
 
+# The generators restated by token: their 3x3 representation rows and
+# their images of 0 and 1.
+GENERATOR_ROWS = {
+    "G": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    "G'": ((1, 1, 0), (0, 1, 0), (0, 1, 1)),
+    "D": ((1, 0, 0), (1, 1, 0), (1, 0, 1)),
+    "D'": ((1, 0, 0), (1, 1, 0), (0, 0, 1)),
+}
+GENERATOR_IMAGES = {"G": ("0", "01"), "G'": ("0", "10"), "D": ("10", "1"), "D'": ("01", "1")}
+
+
+def rep_by_products(tokens) -> tuple:
+    """Representation rows of a generator word: the ordered product of the
+    generator matrices, one 3x3 product per token."""
+    out = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for token in tokens:
+        out = mat_mul_3(out, GENERATOR_ROWS[token])
+    return out
+
+
+def compose_by_substitution(tokens) -> tuple[str, str]:
+    """Images of 0 and 1 under the morphism a generator word names: the
+    rightmost generator acts first, each one by substitution."""
+    x, y = "0", "1"
+    for token in reversed(tokens):
+        image0, image1 = GENERATOR_IMAGES[token]
+        x, y = substitute(image0, image1, x), substitute(image0, image1, y)
+    return x, y
+
+
 _SWAP_TOKENS = {"G": "D'", "G'": "D", "D": "G'", "D'": "G"}
 
 

@@ -68,6 +68,15 @@ def test_parse_errors_exit_2(capsys):
     assert capture(["generate", "--slope", "nope", "--intercept", "0", "--length", "5"])[0] == 2
     assert capture(["apply", "0->10,1->1", "10x"])[0] == 2
     capsys.readouterr()
+    # JSON true/false are not integer entries, although bool is an int
+    for argv, size in (
+        (["membership", "--matrix", "[[true,0,0],[0,true,0],[0,0,true]]"], 3),
+        (["decompose", "--matrix", "[[true,0,0],[0,true,0],[0,0,true]]"], 3),
+        (["membership", "--matrix", "[[false,0,0],[0,1,0],[0,0,1]]"], 3),
+        (["conjugates", "--matrix", "[[true,true],[0,true]]"], 2),
+    ):
+        assert capture(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: expected a {size}x{size} integer matrix\n"
     # negative sizes are usage errors, with the offending flag on stderr
     for argv in (
         ["generate", "--slope", "(0+1*sqrt(2))/2", "--intercept", "0", "--length", "-5"],

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sturmrep.errors import CyclicMorphismError, DomainError, ParseError
 from sturmrep.morphisms import (
@@ -24,10 +24,40 @@ from sturmrep.morphisms import (
 )
 from sturmrep.representation import rep
 
-from oracles import fixed_point_by_iteration, substitute, word_stream
+from oracles import compose_by_substitution, fixed_point_by_iteration, substitute, word_stream
 
 ALL = (G, GT, D, DT)
 genwords = st.lists(st.sampled_from(ALL), max_size=10).map(tuple)
+runs = st.tuples(st.sampled_from(ALL), st.integers(1, 1000)).map(lambda gk: (gk[0],) * gk[1])
+randomwords = st.builds(
+    lambda n, seed: tuple(random.Random(seed).choices(ALL, k=n)),
+    st.integers(0, 3000),
+    st.integers(0, 2**32),
+)
+
+
+def within_oracle_budget(word, budget=10**6):
+    """Longest suffix of word on which compose_by_substitution writes at
+    most budget letters in all, counting the letters of each image as the
+    generators act from the right."""
+    counts = ((1, 0), (0, 1))  # (zeros, ones) in the images of 0 and 1
+    written = 0
+    for i in range(len(word) - 1, -1, -1):
+        if word[i] in (G, GT):  # 1 -> 01 or 10: each 1 adds a 0
+            counts = tuple((z + o, o) for z, o in counts)
+        else:  # 0 -> 10 or 01: each 0 adds a 1
+            counts = tuple((z, z + o) for z, o in counts)
+        written += sum(map(sum, counts))
+        if written > budget:
+            return word[i + 1 :]
+    return word
+
+
+# random words and runs of up to 1000 copies of one generator, cut so that
+# the oracle's work, and with it the images, stays under about 10^6 letters
+budgetwords = st.lists(st.one_of(genwords, runs, randomwords), max_size=6).map(
+    lambda parts: within_oracle_budget(sum(parts, ()))
+)
 
 
 def test_generator_images():
@@ -244,6 +274,13 @@ def test_fixed_point_iteration_oracle_agreement():
     while len(s) < 200:
         s = phi.apply(s)
     assert s[:200] == by_hand
+
+
+@settings(deadline=None, max_examples=40)
+@given(budgetwords)
+def test_compose_matches_substitution_oracle(w):
+    phi = compose(w)
+    assert (phi.image0, phi.image1) == compose_by_substitution([g.token for g in w])
 
 
 def test_compose_random_associativity():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -18,13 +19,27 @@ from sturmrep.representation import (
     rep_gen,
 )
 
-from oracles import decompose_by_peeling, mat_mul_3
+from oracles import decompose_by_peeling, rep_by_products
 
 ALL = (G, GT, D, DT)
 genwords = st.lists(st.sampled_from(ALL), max_size=12).map(tuple)
 # words with long runs of one generator, so that decompose takes large quotients
 runs = st.tuples(st.sampled_from(ALL), st.integers(1, 1000)).map(lambda gk: (gk[0],) * gk[1])
 runwords = st.lists(st.one_of(genwords, runs), max_size=6).map(lambda parts: sum(parts, ()))
+# rep builds leaves of 64 generators: lengths next to a multiple of 64 put
+# a leaf boundary at the end of the word, or one letter either side of it
+lengths = st.one_of(
+    st.integers(0, 3000),
+    st.builds(lambda k, d: 64 * k + d, st.integers(1, 46), st.sampled_from((-1, 0, 1))),
+)
+randomwords = st.builds(
+    lambda n, seed: tuple(random.Random(seed).choices(ALL, k=n)), lengths, st.integers(0, 2**32)
+)
+longwords = st.one_of(randomwords, runwords)
+
+
+def tokens(word):
+    return [g.token for g in word]
 
 R_GT = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
 R_G = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -46,18 +61,38 @@ def test_rep_examples():
     assert rep(()) == Mat3.identity()
 
 
-@given(genwords, genwords)
+@settings(deadline=None)
+@given(longwords, longwords)
 def test_rep_is_a_homomorphism(w1, w2):
     assert rep(w1 + w2) == rep(w1) * rep(w2)
 
 
-@given(genwords)
+@settings(deadline=None, max_examples=60)
+@given(longwords)
 def test_rep_matches_bruteforce_product(w):
-    table = {G: R_G, GT: R_GT, D: R_D, DT: R_DT}
-    expected = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    for g in w:
-        expected = mat_mul_3(expected, table[g])
-    assert rep(w).rows == expected
+    assert rep(w).rows == rep_by_products(tokens(w))
+
+
+def test_rep_at_leaf_boundaries():
+    rng = random.Random(8)
+    for n in (63, 64, 65, 127, 128, 129, 64 * 7 + 1):
+        w = tuple(rng.choices(ALL, k=n))
+        assert rep(w).rows == rep_by_products(tokens(w))
+        assert rep(iter(w)) == rep(list(w)) == rep(w)
+
+
+def test_rep_of_a_long_word_stays_fast():
+    # column additions alone are quadratic in the entries' bit size (several
+    # seconds here); the product tree over 64-letter leaves keeps this well
+    # under the bound
+    rng = random.Random(13)
+    w = tuple(rng.choices(ALL, k=3 * 10**5))
+    start = time.perf_counter()
+    matrix = rep(w)
+    assert time.perf_counter() - start < 2.0
+    cut = rng.randrange(len(w) + 1)
+    assert matrix == rep(w[:cut]) * rep(w[cut:])
+    assert check_membership(matrix)
 
 
 @pytest.mark.parametrize("k", range(7))
