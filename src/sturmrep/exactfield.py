@@ -107,7 +107,7 @@ class QuadExt:
             a, b, c = a // g, b // g, c // g
         if b == 0:
             m = None
-        elif m is None or m < 2:
+        elif m is None or m < 2 or math.isqrt(m) ** 2 == m:
             raise ValueError("irrational part needs a square-free radicand >= 2")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

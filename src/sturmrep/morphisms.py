@@ -35,20 +35,17 @@ G, GT, D, DT = Generator.G, Generator.GT, Generator.D, Generator.DT
 
 GenWord = tuple[Generator, ...]
 
+_WORD_RE = re.compile(r"(?:[GD]'?)*")
 _TOKEN_RE = re.compile(r"[GD]'?")
+_BY_TOKEN = {g.value: g for g in Generator}
 
 
 def parse_genword(text: str) -> GenWord:
     s = text.strip()
-    out = []
-    pos = 0
-    while pos < len(s):
-        mt = _TOKEN_RE.match(s, pos)
-        if not mt:
-            raise ParseError(f"bad generator token at {s[pos:]!r}")
-        out.append(Generator(mt.group(0)))
-        pos = mt.end()
-    return tuple(out)
+    end = _WORD_RE.match(s).end()
+    if end < len(s):
+        raise ParseError(f"bad generator token at {s[end:]!r}")
+    return tuple(map(_BY_TOKEN.__getitem__, _TOKEN_RE.findall(s)))
 
 
 def format_genword(word: GenWord) -> str:
@@ -208,17 +205,6 @@ class BinaryMorphism:
 IDENTITY = BinaryMorphism("0", "1")
 EXCHANGE = BinaryMorphism("1", "0")
 
-GENERATOR_IMAGES = {
-    G: BinaryMorphism("0", "01"),
-    GT: BinaryMorphism("0", "10"),
-    D: BinaryMorphism("10", "1"),
-    DT: BinaryMorphism("01", "1"),
-}
-
-
-def gen_morphism(g: Generator) -> BinaryMorphism:
-    return GENERATOR_IMAGES[g]
-
 
 def compose(word: GenWord) -> BinaryMorphism:
     """Morphism named by the generator word; the empty word is the identity.
@@ -241,6 +227,10 @@ def compose(word: GenWord) -> BinaryMorphism:
         else:
             raise KeyError(g)
     return BinaryMorphism(x, y)
+
+
+def gen_morphism(g: Generator) -> BinaryMorphism:
+    return compose((g,))
 
 
 def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:

@@ -109,18 +109,6 @@ class Mat3:
         return cls(tuple(tuple(r) for r in parse_int_rows(text, 3)))
 
 
-REP_GEN = {
-    GT: Mat3(((1, 1, 0), (0, 1, 0), (0, 1, 1))),
-    G: Mat3(((1, 1, 0), (0, 1, 0), (0, 0, 1))),
-    DT: Mat3(((1, 0, 0), (1, 1, 0), (0, 0, 1))),
-    D: Mat3(((1, 0, 0), (1, 1, 0), (1, 0, 1))),
-}
-
-
-def rep_gen(g: Generator) -> Mat3:
-    return REP_GEN[g]
-
-
 # Generators per leaf of rep's product tree.  Column additions cost one
 # bignum addition per generator, so a long word alone would be quadratic in
 # its entries' bit size; leaves keep the additions on small entries and
@@ -165,6 +153,10 @@ def rep(word: GenWord) -> Mat3:
             for i in range(0, len(level), 2)
         ]
     return level[0]
+
+
+def rep_gen(g: Generator) -> Mat3:
+    return rep((g,))
 
 
 def rep_exchange() -> Mat3:

@@ -4,13 +4,18 @@ One suite per acceptance-style property bundle.  All randomness flows from
 a single 64-bit seed through random.Random (Mersenne Twister); sample i
 draws from a sub-generator seeded by an LCG mix of (seed, i), so batches
 are replayable and shardable.  Identical invocations print identical text.
+
+A suite takes (samples, seed), returns the details of its PASS line and
+raises SuiteFailure at the first property that fails; run_suite is the one
+place that turns either outcome into a SuiteResult.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .dynamics import (
     dekking_mirror,
@@ -58,6 +63,15 @@ PINNED_ROOT_LIST = "10,1,01,0110101,10,101,01,10,101,0110101,0110101,10,101,01,1
 PINNED_SQRT_58 = "1010101101011010101101010110101011010110101011010101101010"
 SQRT_PSI = BinaryMorphism("1010101", "1010101101011010101")
 
+# sizes the suites check at
+FAITHFUL_MAX_LEN = 7
+ROUNDTRIP_MAX_LEN = 15
+MUTATIONS = 200
+COMMUTATION_FIELDS = (2, 3, 5, 7, 13)
+CONJUGACY_MAX_SUM = 20
+LETTERS = 2000
+FIXED_POINT_LETTERS = 5000
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -69,12 +83,21 @@ class SuiteResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.details}"
 
 
+class SuiteFailure(Exception):
+    """The first failing property of a suite; its message is the details
+    of the FAIL line."""
+
+
 def _sub_seed(seed: int, index: int) -> int:
     return (seed * 6364136223846793005 + index * 1442695040888963407) % 2**64
 
 
-def _sample_rng(seed: int, index: int) -> random.Random:
-    return random.Random(_sub_seed(seed, index))
+def _samples(seed: int, n: int | None, offset: int = 0) -> Iterator[random.Random]:
+    """Generators of samples offset, offset+1, ...: n of them, or without
+    end when n is None."""
+    indices = itertools.count(offset) if n is None else range(offset, offset + n)
+    for i in indices:
+        yield random.Random(_sub_seed(seed, i))
 
 
 def random_genword(
@@ -121,7 +144,7 @@ def random_intercept(rng: random.Random, m: int, kind: str) -> QuadExt:
 # -- suites ------------------------------------------------------------------
 
 
-def suite_relations(samples: int | None, seed: int) -> SuiteResult:
+def suite_relations(samples: int | None, seed: int) -> str:
     """Defining relations hold as morphisms and as matrices for k = 0..5."""
     for k in range(6):
         pairs = (
@@ -130,15 +153,13 @@ def suite_relations(samples: int | None, seed: int) -> SuiteResult:
         )
         for w1, w2 in pairs:
             if compose(w1) != compose(w2) or rep(w1) != rep(w2):
-                return SuiteResult(
-                    "relations", False, f"relation broken at k={k}"
-                )
-    return SuiteResult("relations", True, "both families, k=0..5, words and matrices")
+                raise SuiteFailure(f"relation broken at k={k}")
+    return "both families, k=0..5, words and matrices"
 
 
-def suite_faithfulness(samples: int | None, seed: int, max_len: int = 7) -> SuiteResult:
-    """Words of length <= max_len grouped by matrix are exactly the groups
-    by morphism."""
+def suite_faithfulness(samples: int | None, seed: int) -> str:
+    """Words of length <= FAITHFUL_MAX_LEN grouped by matrix are exactly the
+    groups by morphism."""
     by_matrix: dict[Mat3, BinaryMorphism] = {}
     by_morphism: dict[BinaryMorphism, Mat3] = {}
     count = 0
@@ -150,28 +171,25 @@ def suite_faithfulness(samples: int | None, seed: int, max_len: int = 7) -> Suit
         if seen is None:
             by_matrix[matrix] = morphism
         elif seen != morphism:
-            return SuiteResult(
-                "faithfulness", False, f"one matrix, two morphisms: {matrix}"
-            )
+            raise SuiteFailure(f"one matrix, two morphisms: {matrix}")
         back = by_morphism.get(morphism)
         if back is None:
             by_morphism[morphism] = matrix
         elif back != matrix:
-            return SuiteResult(
-                "faithfulness", False, f"one morphism, two matrices: {morphism}"
-            )
-        if depth < max_len:
+            raise SuiteFailure(f"one morphism, two matrices: {morphism}")
+        if depth < FAITHFUL_MAX_LEN:
             for g in ALL_GENERATORS:
                 stack.append(
                     (matrix * rep((g,)), morphism * compose((g,)), depth + 1)
                 )
     ok = len(by_matrix) == len(by_morphism)
-    return SuiteResult(
-        "faithfulness",
-        ok,
-        f"{count} words of length <= {max_len}, {len(by_matrix)} classes, "
-        f"matrix<->morphism bijective: {ok}",
+    details = (
+        f"{count} words of length <= {FAITHFUL_MAX_LEN}, {len(by_matrix)} classes, "
+        f"matrix<->morphism bijective: {ok}"
     )
+    if not ok:
+        raise SuiteFailure(details)
+    return details
 
 
 def _first_violation(rows) -> str | None:
@@ -197,27 +215,21 @@ def _first_violation(rows) -> str | None:
 _MUTATION_TARGETS = frozenset({"AD-BC=1", "E<A+C", "F<B+D", "-C<=CF-DE", "CF-DE<D"})
 
 
-def suite_roundtrip(
-    samples: int | None, seed: int, mutations: int = 200, max_len: int = 15
-) -> SuiteResult:
+def suite_roundtrip(samples: int | None, seed: int) -> str:
     """Membership and factorization round trip on random words, plus
     rejection certificates on mutated matrices."""
     n = samples if samples is not None else 1000
-    for i in range(n):
-        rng = _sample_rng(seed, i)
-        word = random_genword(rng, max_len=max_len)
-        matrix = rep(word)
+    for rng in _samples(seed, n):
+        matrix = rep(random_genword(rng, max_len=ROUNDTRIP_MAX_LEN))
         if not check_membership(matrix):
-            return SuiteResult("roundtrip", False, f"member rejected: {matrix}")
+            raise SuiteFailure(f"member rejected: {matrix}")
         if rep(decompose(matrix)) != matrix:
-            return SuiteResult("roundtrip", False, f"round trip failed: {matrix}")
+            raise SuiteFailure(f"round trip failed: {matrix}")
     made = 0
-    attempt = 0
-    while made < mutations:
-        rng = _sample_rng(seed, 10_000_000 + attempt)
-        attempt += 1
-        word = random_genword(rng, max_len=10)
-        rows = [list(r) for r in rep(word).rows]
+    for rng in _samples(seed, None, 10_000_000):
+        if made == MUTATIONS:
+            break
+        rows = [list(r) for r in rep(random_genword(rng, max_len=10)).rows]
         i, j = rng.choice(((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)))
         rows[i][j] += rng.choice((-3, -2, -1, 1, 2, 3))
         expected = _first_violation(tuple(tuple(r) for r in rows))
@@ -226,108 +238,79 @@ def suite_roundtrip(
         made += 1
         verdict = check_membership(Mat3(tuple(tuple(r) for r in rows)))
         if verdict.ok or verdict.certificate != expected:
-            return SuiteResult(
-                "roundtrip",
-                False,
+            raise SuiteFailure(
                 f"mutation certificate mismatch: got {verdict.certificate}, "
-                f"expected {expected}",
+                f"expected {expected}"
             )
-    return SuiteResult(
-        "roundtrip", True, f"{n} round trips, {mutations} mutations rejected"
-    )
+    return f"{n} round trips, {MUTATIONS} mutations rejected"
 
 
-COMMUTATION_FIELDS = (2, 3, 5, 7, 13)
-
-
-def suite_commutation(
-    samples: int | None, seed: int, letters: int = 2000
-) -> SuiteResult:
+def suite_commutation(samples: int | None, seed: int) -> str:
     """Applying a morphism to a sequence matches coding the image
     parameters, letter for letter."""
     n = samples if samples is not None else 200
-    for i in range(n):
-        rng = _sample_rng(seed, i)
+    for rng in _samples(seed, n):
         m = rng.choice(COMMUTATION_FIELDS)
         kind = rng.choice((LOWER, UPPER))
         si = SlopeIntercept(random_slope(rng, m), random_intercept(rng, m, kind), kind)
         v = params_of(si)
         word = random_genword(rng, max_len=10)
-        symbolic = compose(word).apply(iet_stream(v)).prefix(letters)
-        geometric = iet_code(image_params(word, v), letters)
+        symbolic = compose(word).apply(iet_stream(v)).prefix(LETTERS)
+        geometric = iet_code(image_params(word, v), LETTERS)
         if symbolic != geometric:
-            return SuiteResult(
-                "commutation",
-                False,
-                f"mismatch for {format_genword(word) or 'identity'} over sqrt({m})",
+            raise SuiteFailure(
+                f"mismatch for {format_genword(word) or 'identity'} over sqrt({m})"
             )
-    return SuiteResult(
-        "commutation", True, f"{n} pairs over fields {COMMUTATION_FIELDS}, {letters} letters"
-    )
+    return f"{n} pairs over fields {COMMUTATION_FIELDS}, {LETTERS} letters"
 
 
-def suite_fixed_points(
-    samples: int | None, seed: int, letters: int = 5000
-) -> SuiteResult:
+def suite_fixed_points(samples: int | None, seed: int) -> str:
     """Known 56-letter prefix of the DG^2 fixed point via both routes, then
     fixed-point invariance and iteration agreement on random primitive words."""
     v = fixed_point_params(DG2)
     geometric = iet_code(v, 56)
     iterated = iterate_fixed_point(compose(DG2), geometric[0], 56)
     if geometric != DG2_PREFIX_56 or iterated != DG2_PREFIX_56:
-        return SuiteResult("fixed-points", False, "DG^2 pinned prefix mismatch")
+        raise SuiteFailure("DG^2 pinned prefix mismatch")
     n = samples if samples is not None else 100
-    for i in range(n):
-        rng = _sample_rng(seed, i)
+    for rng in _samples(seed, n):
         word = random_genword(rng, min_len=1, max_len=10, primitive=True)
         phi = compose(word)
         stream = fixed_point_stream(word)
-        want = stream.prefix(letters)
-        if phi.apply(stream).prefix(letters) != want:
-            return SuiteResult(
-                "fixed-points", False, f"not invariant: {format_genword(word)}"
-            )
-        if iterate_fixed_point(phi, want[0], letters) != want:
-            return SuiteResult(
-                "fixed-points", False, f"iteration disagrees: {format_genword(word)}"
-            )
-    return SuiteResult(
-        "fixed-points", True, f"pinned prefix + {n} random primitive words, {letters} letters"
-    )
+        want = stream.prefix(FIXED_POINT_LETTERS)
+        if phi.apply(stream).prefix(FIXED_POINT_LETTERS) != want:
+            raise SuiteFailure(f"not invariant: {format_genword(word)}")
+        if iterate_fixed_point(phi, want[0], FIXED_POINT_LETTERS) != want:
+            raise SuiteFailure(f"iteration disagrees: {format_genword(word)}")
+    return f"pinned prefix + {n} random primitive words, {FIXED_POINT_LETTERS} letters"
 
 
-def suite_conjugacy(samples: int | None, seed: int, max_sum: int = 20) -> SuiteResult:
-    """Every unimodular non-negative 2x2 matrix with entry sum <= max_sum
-    has entry-sum-minus-one conjugates sharing one rightmost conjugate."""
+def suite_conjugacy(samples: int | None, seed: int) -> str:
+    """Every unimodular non-negative 2x2 matrix with entry sum <=
+    CONJUGACY_MAX_SUM has entry-sum-minus-one conjugates sharing one
+    rightmost conjugate."""
+    top = CONJUGACY_MAX_SUM
     checked = 0
-    for a in range(0, max_sum + 1):
-        for b in range(0, max_sum + 1 - a):
-            for c in range(0, max_sum + 1 - a - b):
-                for d in range(0, max_sum + 1 - a - b - c):
+    for a in range(0, top + 1):
+        for b in range(0, top + 1 - a):
+            for c in range(0, top + 1 - a - b):
+                for d in range(0, top + 1 - a - b - c):
                     if a * d - b * c != 1:
                         continue
                     matrix = Mat2(a, b, c, d)
                     expected = a + b + c + d - 1
                     family = conjugates_of(matrix)
                     if len(family) != expected or len(set(family)) != expected:
-                        return SuiteResult(
-                            "conjugacy", False, f"wrong count for {matrix}"
-                        )
+                        raise SuiteFailure(f"wrong count for {matrix}")
                     if any(phi.incidence() != matrix for phi in family):
-                        return SuiteResult(
-                            "conjugacy", False, f"incidence drift for {matrix}"
-                        )
+                        raise SuiteFailure(f"incidence drift for {matrix}")
                     if len({rightmost_conjugate(phi) for phi in family}) != 1:
-                        return SuiteResult(
-                            "conjugacy", False, f"no common rightmost for {matrix}"
-                        )
+                        raise SuiteFailure(f"no common rightmost for {matrix}")
                     checked += 1
-    return SuiteResult(
-        "conjugacy", True, f"{checked} matrices with entry sum <= {max_sum}"
-    )
+    return f"{checked} matrices with entry sum <= {top}"
 
 
-def suite_sqrt_example(samples: int | None, seed: int) -> SuiteResult:
+def suite_sqrt_example(samples: int | None, seed: int) -> str:
     """Pinned square-root example: root sequence, 58-letter prefix, fixing
     morphism.  The pinned strings are derived from the oracles alone in
     tests/test_sqroot.py."""
@@ -344,105 +327,82 @@ def suite_sqrt_example(samples: int | None, seed: int) -> SuiteResult:
         f"58-prefix {'ok' if prefix_ok else 'MISMATCH (got ' + sqrt58 + ')'}; "
         f"psi/k {'ok' if psi_ok else 'MISMATCH'}"
     )
-    return SuiteResult("sqrt-example", roots_ok and prefix_ok and psi_ok, details)
+    if not (roots_ok and prefix_ok and psi_ok):
+        raise SuiteFailure(details)
+    return details
 
 
-def suite_sqrt_theorem(
-    samples: int | None, seed: int, letters: int = 2000
-) -> SuiteResult:
+def suite_sqrt_theorem(samples: int | None, seed: int) -> str:
     """Square-root morphisms of random characteristic-fixing words are
     palindromic, odd, conjugate to the k-th power, and fix the root stream."""
     n = samples if samples is not None else 50
-    for i in range(n):
-        rng = _sample_rng(seed, i)
+    for rng in _samples(seed, n):
         word = random_genword(rng, alphabet=(G, D), min_len=2, max_len=8, primitive=True)
-        matrix = rep(word)
-        a, b, c, d, e, f = matrix.named()
+        text = format_genword(word)
+        a, b, c, d, e, f = rep(word).named()
         if e != c or f != d - 1:
-            return SuiteResult(
-                "sqrt-theorem", False, f"not characteristic: {format_genword(word)}"
-            )
+            raise SuiteFailure(f"not characteristic: {text}")
         result = sqrt_fixing_morphism(word)
         psi = result.morphism
         im0, im1 = psi.image0, psi.image1
         if im0 != im0[::-1] or im1 != im1[::-1] or len(im0) % 2 == 0 or len(im1) % 2 == 0:
-            return SuiteResult(
-                "sqrt-theorem", False, f"images not odd palindromes: {format_genword(word)}"
-            )
+            raise SuiteFailure(f"images not odd palindromes: {text}")
         if not 1 <= result.power <= 3:
-            return SuiteResult("sqrt-theorem", False, "power out of range")
+            raise SuiteFailure("power out of range")
         power = compose(word) ** result.power
         if psi.incidence() != power.incidence() or rightmost_conjugate(
             psi
         ) != rightmost_conjugate(power):
-            return SuiteResult(
-                "sqrt-theorem", False, f"not conjugate to power: {format_genword(word)}"
-            )
+            raise SuiteFailure(f"not conjugate to power: {text}")
         root_stream = square_root_stream(fixed_point_stream(word))
-        want = root_stream.prefix(letters)
-        if psi.apply(root_stream).prefix(letters) != want:
-            return SuiteResult(
-                "sqrt-theorem", False, f"root stream not fixed: {format_genword(word)}"
-            )
-    return SuiteResult("sqrt-theorem", True, f"{n} words over {{G,D}}, {letters} letters")
+        want = root_stream.prefix(LETTERS)
+        if psi.apply(root_stream).prefix(LETTERS) != want:
+            raise SuiteFailure(f"root stream not fixed: {text}")
+    return f"{n} words over {{G,D}}, {LETTERS} letters"
 
 
-def suite_yasutomi(samples: int | None, seed: int) -> SuiteResult:
+def suite_yasutomi(samples: int | None, seed: int) -> str:
     """Eigen-parameters of random primitive words satisfy the quadratic-field
     and conjugate-bound conditions."""
     n = samples if samples is not None else 200
-    for i in range(n):
-        rng = _sample_rng(seed, i)
+    for rng in _samples(seed, n):
         word = random_genword(rng, min_len=1, max_len=10, primitive=True)
         report = yasutomi_check(dominant_eigen(word))
         if not report.ok:
-            return SuiteResult(
-                "yasutomi", False, f"{format_genword(word)}: {report.as_text()}"
-            )
-    return SuiteResult("yasutomi", True, f"{n} random primitive words")
+            raise SuiteFailure(f"{format_genword(word)}: {report.as_text()}")
+    return f"{n} random primitive words"
 
 
-def suite_dekking(samples: int | None, seed: int, letters: int = 2000) -> SuiteResult:
+def suite_dekking(samples: int | None, seed: int) -> str:
     """Paired fixed points: words over {G',D'} fix both orientations of
     their sequence; mirrors of words over {G,D'} fix the upper zero-intercept
     sequence."""
     n = samples if samples is not None else 50
-    for i in range(n):
-        rng = _sample_rng(seed, i)
+    for rng in _samples(seed, n):
         word = random_genword(rng, alphabet=(GT, DT), min_len=2, max_len=8, primitive=True)
         phi = compose(word)
-        eigen = dominant_eigen(word)
-        v = eigen.vector
+        v = dominant_eigen(word).vector
         if v.rho != v.l0:
-            return SuiteResult(
-                "dekking", False, f"rho != l0 over {{G',D'}}: {format_genword(word)}"
-            )
+            raise SuiteFailure(f"rho != l0 over {{G',D'}}: {format_genword(word)}")
         for boundary in (LOWER, UPPER):
             stream = iet_stream(ParamVector(v.l0, v.l1, v.rho, boundary))
-            if phi.apply(stream).prefix(letters) != stream.prefix(letters):
-                return SuiteResult(
-                    "dekking",
-                    False,
-                    f"{boundary} orientation not fixed: {format_genword(word)}",
+            if phi.apply(stream).prefix(LETTERS) != stream.prefix(LETTERS):
+                raise SuiteFailure(
+                    f"{boundary} orientation not fixed: {format_genword(word)}"
                 )
-    for i in range(n):
-        rng = _sample_rng(seed, 20_000_000 + i)
+    for rng in _samples(seed, n, 20_000_000):
         word = random_genword(rng, alphabet=(G, DT), min_len=2, max_len=8, primitive=True)
         eta = compose(dekking_mirror(word))
         v = dominant_eigen(word).vector
         if v.rho != 0:
-            return SuiteResult(
-                "dekking", False, f"rho != 0 over {{G,D'}}: {format_genword(word)}"
-            )
+            raise SuiteFailure(f"rho != 0 over {{G,D'}}: {format_genword(word)}")
         upper = iet_stream(ParamVector(v.l0, v.l1, QuadExt(1), UPPER))
-        if eta.apply(upper).prefix(letters) != upper.prefix(letters):
-            return SuiteResult(
-                "dekking", False, f"mirror does not fix upper: {format_genword(word)}"
-            )
-    return SuiteResult("dekking", True, f"2x{n} words, {letters} letters")
+        if eta.apply(upper).prefix(LETTERS) != upper.prefix(LETTERS):
+            raise SuiteFailure(f"mirror does not fix upper: {format_genword(word)}")
+    return f"2x{n} words, {LETTERS} letters"
 
 
-SUITES: dict[str, Callable[[int | None, int], SuiteResult]] = {
+SUITES: dict[str, Callable[[int | None, int], str]] = {
     "relations": suite_relations,
     "faithfulness": suite_faithfulness,
     "roundtrip": suite_roundtrip,
@@ -456,7 +416,14 @@ SUITES: dict[str, Callable[[int | None, int], SuiteResult]] = {
 }
 
 
+def run_suite(name: str, samples: int | None, seed: int) -> SuiteResult:
+    try:
+        return SuiteResult(name, True, SUITES[name](samples, seed))
+    except SuiteFailure as failure:
+        return SuiteResult(name, False, str(failure))
+
+
 def run_suites(
     names: Iterable[str], samples: int | None, seed: int
 ) -> list[SuiteResult]:
-    return [SUITES[name](samples, seed) for name in names]
+    return [run_suite(name, samples, seed) for name in names]

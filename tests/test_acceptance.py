@@ -13,7 +13,7 @@ from sturmrep.verify import (
     PINNED_ROOT_LIST,
     PINNED_SQRT_58,
     SQRT_PSI,
-    SUITES,
+    run_suite,
 )
 from sturmrep.dynamics import fixed_point_stream
 from sturmrep.morphisms import parse_genword
@@ -24,7 +24,7 @@ SEED = 0
 
 def _run(number, name, budget, samples=None):
     t0 = time.perf_counter()
-    result = SUITES[name](samples, SEED)
+    result = run_suite(name, samples, SEED)
     elapsed = time.perf_counter() - t0
     status = "PASS" if result.ok and elapsed < budget else "FAIL"
     print(f"criterion {number:02d} [{name}] {status} ({elapsed:.2f}s < {budget}s): {result.details}")

@@ -3,6 +3,7 @@ import shlex
 from pathlib import Path
 
 from sturmrep.cli import run
+from sturmrep.morphisms import G
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -178,6 +179,20 @@ def test_verify_deterministic():
     assert code == 0
     assert "PASS roundtrip" in out
     assert capture(["verify", "--suite", "bogus"])[0] == 2
+
+
+def test_verify_reports_the_first_failing_property(monkeypatch):
+    import sturmrep.verify as verify
+
+    real = verify.decompose
+    # one generator too many: rep is faithful, so every round trip breaks
+    monkeypatch.setattr(verify, "decompose", lambda matrix: real(matrix) + (G,))
+    result = verify.run_suite("roundtrip", 3, 0)
+    assert not result.ok
+    assert result.details.startswith("round trip failed: [[")
+    code, out = capture(["verify", "--suite", "roundtrip", "--samples", "3"])
+    assert code == 1
+    assert out.splitlines()[1] == f"FAIL roundtrip: {result.details}"
 
 
 def test_verify_header_records_seed():

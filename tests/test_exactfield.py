@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sturmrep.errors import FieldMismatchError, ParseError
+from sturmrep.errors import DomainError, FieldMismatchError, ParseError
 from sturmrep import exactfield
 from sturmrep.exactfield import HALF, ONE, ZERO, QuadExt, square_free_split
+from sturmrep.words import SlopeIntercept
 
 from oracles import surd_floor, surd_sign
 
@@ -169,6 +170,19 @@ def test_normalize_radicand():
     assert (x.a, x.b, x.c, x.m) == (2, 2, 1, 3)
     assert (x - 2) * (x - 2) == 12  # confirm by squaring
     assert QuadExt.from_radicand(5, 3, 2, 0) == QuadExt(5, 0, 2)
+
+
+@pytest.mark.parametrize("m", [4, 9, 16, 144, 10**20])
+def test_perfect_square_radicand_is_rejected(m):
+    # sqrt(4)/3 is the rational 2/3; as an irrational value it would compare
+    # unequal to 2/3 and break the sign test that assumes sqrt(m) irrational
+    with pytest.raises(ValueError, match="square-free radicand >= 2"):
+        QuadExt(0, 1, 3, m)
+    r = math.isqrt(m)
+    assert QuadExt.from_radicand(0, 1, 3, m) == QuadExt(r, 0, 3)
+    assert QuadExt.parse(f"(0+1*sqrt({m}))/3") == QuadExt(r, 0, 3)
+    with pytest.raises(DomainError, match="rational slope"):
+        SlopeIntercept(QuadExt.from_radicand(0, 1, 3, m), 0)
 
 
 @given(st.integers(0, 10_000))

@@ -82,10 +82,24 @@ def test_presentation_relations(k):
 def test_genword_text_round_trip():
     for text in ("", "DGG", "G'D'G", "GDG'D'", "D'D'G'G"):
         assert format_genword(parse_genword(text)) == text
-    with pytest.raises(ParseError):
-        parse_genword("GXD")
-    with pytest.raises(ParseError):
-        parse_genword("'G")
+    assert parse_genword(" DGG ") == (D, G, G)
+
+
+@pytest.mark.parametrize(
+    "text, rest",
+    [("GXD", "XD"), ("'G", "'G"), ("G''", "'"), ("D G", " G"), ("G'D'x", "x"), ("g", "g")],
+)
+def test_genword_parse_error_names_the_first_bad_token(text, rest):
+    with pytest.raises(ParseError) as info:
+        parse_genword(text)
+    assert str(info.value) == f"bad generator token at {rest!r}"
+
+
+@given(randomwords)
+def test_genword_text_round_trip_on_long_words(word):
+    text = format_genword(word)
+    assert parse_genword(text) == word
+    assert parse_genword(f" {text}\n") == word
 
 
 def test_apply():
