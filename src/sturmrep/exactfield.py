@@ -245,8 +245,10 @@ class QuadExt:
             return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.m))
 
-    def _cmp(self, other) -> int:
-        return (self - other).sign()
+    def _cmp(self, o: QuadExt) -> int:
+        # sign of self - o, both denominators positive
+        m = common_field(self, o)
+        return surd_sign(self.a * o.c - o.a * self.c, self.b * o.c - o.b * self.c, m)
 
     def __lt__(self, other):
         o = self.coerce(other)

@@ -160,9 +160,7 @@ class BinaryMorphism:
         if isinstance(w, str):
             return "".join(map(image, w))
         if isinstance(w, PrefixStream):
-            return PrefixStream(
-                lambda: ("".join(map(image, block)) for block in w.blocks())
-            )
+            return PrefixStream("".join(map(image, block)) for block in w.blocks())
         raise TypeError(f"cannot apply a morphism to {type(w).__name__}")
 
     def __call__(self, w):

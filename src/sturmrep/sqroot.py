@@ -66,7 +66,7 @@ def square_root_stream(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> PrefixStream:
     """Concatenation of the block roots as a lazy stream, a root per block."""
-    return PrefixStream(lambda: iter_square_roots(stream, scan_bound))
+    return PrefixStream(iter_square_roots(stream, scan_bound))
 
 
 @dataclass(frozen=True)

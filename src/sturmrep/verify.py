@@ -163,25 +163,14 @@ def suite_faithfulness(samples: int | None, seed: int) -> str:
     by_matrix: dict[Mat3, BinaryMorphism] = {}
     by_morphism: dict[BinaryMorphism, Mat3] = {}
     count = 0
-    stack = [(Mat3.identity(), BinaryMorphism("0", "1"), 0)]
-    while stack:
-        matrix, morphism, depth = stack.pop()
-        count += 1
-        seen = by_matrix.get(matrix)
-        if seen is None:
-            by_matrix[matrix] = morphism
-        elif seen != morphism:
-            raise SuiteFailure(f"one matrix, two morphisms: {matrix}")
-        back = by_morphism.get(morphism)
-        if back is None:
-            by_morphism[morphism] = matrix
-        elif back != matrix:
-            raise SuiteFailure(f"one morphism, two matrices: {morphism}")
-        if depth < FAITHFUL_MAX_LEN:
-            for g in ALL_GENERATORS:
-                stack.append(
-                    (matrix * rep((g,)), morphism * compose((g,)), depth + 1)
-                )
+    for n in range(FAITHFUL_MAX_LEN + 1):
+        for word in itertools.product(ALL_GENERATORS, repeat=n):
+            matrix, morphism = rep(word), compose(word)
+            count += 1
+            if by_matrix.setdefault(matrix, morphism) != morphism:
+                raise SuiteFailure(f"one matrix, two morphisms: {matrix}")
+            if by_morphism.setdefault(morphism, matrix) != matrix:
+                raise SuiteFailure(f"one morphism, two matrices: {morphism}")
     ok = len(by_matrix) == len(by_morphism)
     details = (
         f"{count} words of length <= {FAITHFUL_MAX_LEN}, {len(by_matrix)} classes, "
@@ -318,7 +307,7 @@ def suite_sqrt_example(samples: int | None, seed: int) -> str:
     it = iter_square_roots(stream)
     roots = [next(it) for _ in range(16)]
     roots_ok = ",".join(roots) == PINNED_ROOT_LIST
-    sqrt58 = square_root_stream(stream.restart()).prefix(58)
+    sqrt58 = square_root_stream(stream).prefix(58)
     prefix_ok = sqrt58 == PINNED_SQRT_58
     result = sqrt_fixing_morphism(DG2)
     psi_ok = result.power == 2 and result.morphism == SQRT_PSI

@@ -15,9 +15,8 @@ parameter vector (1-alpha, alpha, delta), see params_of.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Callable, Iterator
 
 from .errors import DomainError
@@ -25,25 +24,25 @@ from .exactfield import QuadExt, common_field, surd_floor, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
+_BLOCK = 256  # most letters per step of PrefixStream.blocks()
 
 
 class PrefixStream:
     """Deterministic on-demand {0,1} sequence.
 
-    factory() returns an iterator of str blocks, one letter or many per
-    step.  Blocks are buffered whole as they are read, so prefix() is
-    idempotent and several consumers may read one stream at independent
-    positions; blocks() hands the letters on block by block, and restart()
-    gives a fresh replay.  An optional seek(i) returns the blocks from
-    letter i on: slice(i, j) with i over 512 letters past the buffer then
-    costs j - i letters, and the buffer stays a prefix.
+    source is an iterator of str blocks, one letter or many per step.
+    Blocks are buffered whole as they are read, so prefix() is idempotent
+    and several consumers may read one stream at independent positions;
+    blocks() hands the letters on in blocks of at most 256.  An optional
+    seek(i) returns the blocks from letter i on: slice(i, j) with i over 512
+    letters past the buffer then costs j - i letters, and the buffer stays
+    a prefix.
     """
 
-    def __init__(self, factory: Callable[[], Iterator[str]],
+    def __init__(self, source: Iterator[str],
                  seek: Callable[[int], Iterator[str]] | None = None):
-        self._factory = factory
+        self._source = source
         self._seek = seek
-        self._source = factory()
         self._buffer = bytearray()
 
     def _ensure(self, n: int) -> None:
@@ -61,7 +60,7 @@ class PrefixStream:
             raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
         # a seek costs about 500 letters of the engine: nearer starts extend
         if self._seek is not None and i > len(self._buffer) + 512:
-            return PrefixStream(partial(self._seek, i)).prefix(j - i)
+            return PrefixStream(self._seek(i)).prefix(j - i)
         self._ensure(j)
         return self._buffer[i:j].decode()
 
@@ -71,18 +70,14 @@ class PrefixStream:
         return self.slice(i, i + 1)
 
     def blocks(self) -> Iterator[str]:
+        # a bounded block: a consumer after a long read-ahead gets the
+        # letters it reads, not the whole buffer
         i = 0
         while True:
             self._ensure(i + 1)
-            block = self._buffer[i:].decode()
+            block = self._buffer[i : i + _BLOCK].decode()
             i += len(block)
             yield block
-
-    def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(self.blocks())
-
-    def restart(self) -> PrefixStream:
-        return PrefixStream(self._factory, self._seek)
 
 
 def _as_field(x) -> QuadExt:
@@ -121,12 +116,16 @@ class ParamVector:
 
     lower coding uses [0,l0) and [l0,l0+l1), so 0 <= rho < l0+l1;
     upper coding uses (0,l0] and (l0,l0+l1], so 0 < rho <= l0+l1.
+    pairs is (m, l0, l1, rho) with each value an integer pair (a, b) for
+    (a + b*sqrt(m))/den over one common denominator den, which the checks
+    here and the 2iet engine share.
     """
 
     l0: QuadExt
     l1: QuadExt
     rho: QuadExt
     boundary: str = LOWER
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("l0", "l1", "rho"):
@@ -135,16 +134,17 @@ class ParamVector:
             raise ValueError(f"boundary must be {LOWER!r} or {UPPER!r}")
         # l0 + l1 is rational for every params_of output, so the range test
         # below would let a rho from another field through
-        common_field(self.rho, self.l0, self.l1)
-        if not (self.l0 > 0 and self.l1 > 0):
+        m = common_field(self.rho, self.l0, self.l1)
+        den = math.lcm(self.l0.c, self.l1.c, self.rho.c)
+        pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (self.l0, self.l1, self.rho)]
+        (l0a, l0b), (l1a, l1b), (xa, xb) = pairs
+        if surd_sign(l0a, l0b, m) <= 0 or surd_sign(l1a, l1b, m) <= 0:
             raise DomainError("interval lengths must be positive")
-        total = self.l0 + self.l1
-        if self.boundary == LOWER:
-            ok = 0 <= self.rho < total
-        else:
-            ok = 0 < self.rho <= total
-        if not ok:
+        # 0 <= x < l0+l1, or 0 < x <= l0+l1 for the upper kind
+        upper = self.boundary == UPPER
+        if surd_sign(xa, xb, m) < upper or surd_sign(xa - l0a - l1a, xb - l0b - l1b, m) >= upper:
             raise DomainError("starting point outside the exchanged intervals")
+        object.__setattr__(self, "pairs", (m, *pairs))
 
     def scaled(self, factor) -> ParamVector:
         f = _as_field(factor)
@@ -175,11 +175,7 @@ def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
     # kind, is its letter exchange.  With l0 > l1 each one is followed by q
     # or q+1 zeros, q = floor(l0/l1), and after a head of zeros these runs
     # code the exchange (r, l1-r, x-l0), r = l0 - q*l1, of the same kind.
-    m = common_field(v.l0, v.l1, v.rho)
-    den = math.lcm(v.l0.c, v.l1.c, v.rho.c)
-    (l0a, l0b), (l1a, l1b), (xa, xb) = (
-        (p.a * (den // p.c), p.b * (den // p.c)) for p in (v.l0, v.l1, v.rho)
-    )
+    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
     upper = v.boundary == UPPER
     if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
         xa, xb = xa + start * l1a, xb + start * l1b
@@ -226,8 +222,7 @@ def iet_stream(v: ParamVector) -> PrefixStream:
     # proportional
     if v.l0.a * v.l1.b == v.l0.b * v.l1.a:
         raise DomainError("rational slope generates a periodic sequence")
-    engine = partial(_iet_letters, v)
-    return PrefixStream(engine, engine)
+    return PrefixStream(_iet_letters(v), partial(_iet_letters, v))
 
 
 def iet_code(v: ParamVector, n: int) -> str:

@@ -125,7 +125,7 @@ def word_stream(w: str):
 
     if not w or set(w) - {"0", "1"}:
         raise ValueError("need a nonempty binary word")
-    return PrefixStream(lambda: repeat(w))
+    return PrefixStream(repeat(w))
 
 
 def naive_shortest_square_root(s: str, start: int = 0) -> str:

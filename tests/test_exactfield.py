@@ -221,6 +221,34 @@ def test_ordering_and_arith_with_ints_and_fractions():
     assert sorted([x, ONE, ZERO]) == [ZERO, ONE, x]
 
 
+comparable = (
+    same_field
+    | st.tuples(values, rationals).map(list)
+    | st.tuples(rationals, values).map(list)
+    | st.tuples(rationals, rationals).map(list)
+    | values.map(lambda x: [x, x])
+)
+
+
+@given(comparable)
+def test_ordering_matches_oracle_sign_of_difference(pair):
+    x, y = pair
+    m = x.m or y.m
+    # x - y over the denominator x.c * y.c
+    s = surd_sign(x.a * y.c - y.a * x.c, x.b * y.c - y.b * x.c, m)
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+
+
+def test_mixed_field_comparison_names_both_fields():
+    x, y = QuadExt(1, 1, 1, 2), QuadExt(0, 1, 3, 3)
+    for cmp in (lambda p, q: p < q, lambda p, q: p <= q,
+                lambda p, q: p > q, lambda p, q: p >= q):
+        with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(2\) with sqrt\(3\)$"):
+            cmp(x, y)
+        with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(3\) with sqrt\(2\)$"):
+            cmp(y, x)
+
+
 def test_hash_consistency_with_rationals():
     assert hash(QuadExt(4, 0, 2)) == hash(2) == hash(QuadExt(2))
     assert len({QuadExt(1, 1, 2, 5), QuadExt(2, 2, 4, 5)}) == 1

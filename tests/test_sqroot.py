@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,14 +81,14 @@ def _thue_morse():
 def test_scan_bound_error():
     # Thue-Morse has no square prefix at all
     with pytest.raises(ScanBoundError):
-        shortest_square_prefix(PrefixStream(_thue_morse), scan_bound=64)
+        shortest_square_prefix(PrefixStream(_thue_morse()), scan_bound=64)
     # the worst case of the scan: every root length up to the bound; a
     # window that grew by one block per miss took 30 s at 3*10^4
     start = time.perf_counter()
     with pytest.raises(ScanBoundError, match="root length <= 10000"):
-        shortest_square_prefix(PrefixStream(_thue_morse))
+        shortest_square_prefix(PrefixStream(_thue_morse()))
     with pytest.raises(ScanBoundError, match="root length <= 100000"):
-        shortest_square_prefix(PrefixStream(_thue_morse), scan_bound=10**5)
+        shortest_square_prefix(PrefixStream(_thue_morse()), scan_bound=10**5)
     assert time.perf_counter() - start < 2
 
 
@@ -122,7 +122,7 @@ def test_square_root_length_exhaustive():
         w = words.pop()
         for s in (w + "0", w + "1"):
             want = next((k for k in range(1, len(s) // 2 + 1) if s[:k] == s[k : 2 * k]), 0)
-            stream = PrefixStream(lambda: iter([s]))
+            stream = PrefixStream(iter([s]))
             if want:
                 assert shortest_square_prefix(stream, scan_bound=len(s) // 2) == s[:want]
             else:
@@ -134,12 +134,8 @@ def test_square_root_length_exhaustive():
 
 def _recut(base: PrefixStream, widths: list[int]) -> PrefixStream:
     # the letters of base in blocks of the given widths, cycled
-    def blocks():
-        letters = iter(base.restart())
-        for width in cycle(widths):
-            yield "".join(islice(letters, width))
-
-    return PrefixStream(blocks)
+    letters = chain.from_iterable(base.blocks())
+    return PrefixStream("".join(islice(letters, width)) for width in cycle(widths))
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,18 +143,17 @@ def _recut(base: PrefixStream, widths: list[int]) -> PrefixStream:
     st.one_of(
         st.lists(st.sampled_from((G, D)), min_size=2, max_size=6)
         .filter(lambda word: {G, D} <= set(word))
-        .map(lambda word: fixed_point_stream(tuple(word))),
-        st.text("01", min_size=1, max_size=200).map(word_stream),
+        .map(lambda word: lambda: fixed_point_stream(tuple(word))),
+        st.text("01", min_size=1, max_size=200).map(lambda u: lambda: word_stream(u)),
     ),
     st.lists(st.integers(1, 200), min_size=1, max_size=20),
 )
-def test_roots_do_not_depend_on_block_cuts(base, widths):
+def test_roots_do_not_depend_on_block_cuts(make, widths):
     # a periodic root is at most 200 letters, so 20 roots fit in 8000
-    u = base.prefix(8000)
-    want = naive_square_roots(u, 20)
-    read_ahead = base.restart()
-    read_ahead.prefix(8000)  # its blocks() then starts with one 8000-letter block
-    for stream in (_recut(base, widths), read_ahead):
+    want = naive_square_roots(make().prefix(8000), 20)
+    read_ahead = make()
+    read_ahead.prefix(8000)  # its blocks() then cut the buffer, not the source
+    for stream in (_recut(make(), widths), read_ahead):
         assert list(islice(iter_square_roots(stream), 20)) == want
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -11,7 +12,7 @@ from sturmrep.errors import DomainError, FieldMismatchError
 from sturmrep.exactfield import HALF, QuadExt
 from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
 from sturmrep.representation import rep
-from sturmrep.sqroot import square_root_stream
+from sturmrep.sqroot import shortest_square_prefix, square_root_stream
 from sturmrep.words import (
     LOWER,
     UPPER,
@@ -24,7 +25,13 @@ from sturmrep.words import (
     mechanical_stream,
 )
 
-from oracles import iet_oracle, mechanical_letters_at, mechanical_oracle, word_stream
+from oracles import (
+    iet_oracle,
+    mechanical_letters_at,
+    mechanical_oracle,
+    surd_sign,
+    word_stream,
+)
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 FIB_ALPHA = QuadExt(3, -1, 2, 5)  # (3-sqrt(5))/2
@@ -162,12 +169,43 @@ def test_param_vector_domains():
         ParamVector(1 - a, a, QuadExt(0, 1, 2, 2), LOWER)
 
 
+@st.composite
+def param_cases(draw):
+    # (a, b, c) triples for (a + b*sqrt(m))/c with zero, negative and
+    # rational parts; rho also on both ends of [0, l0+l1]
+    m = draw(st.sampled_from((2, 3, 5, 7)))
+    part = st.tuples(st.integers(-6, 6), st.just(0) | st.integers(-4, 4), st.integers(1, 6))
+    (a0, b0, c0), (a1, b1, c1) = l0, l1 = draw(part), draw(part)
+    total = (a0 * c1 + a1 * c0, b0 * c1 + b1 * c0, c0 * c1)
+    rho = draw(st.sampled_from(((0, 0, 1), total)) | part)
+    return m, l0, l1, rho, draw(st.sampled_from((LOWER, UPPER)))
+
+
+@settings(max_examples=400)
+@given(param_cases())
+def test_param_vector_accepts_exactly_the_oracle_domain(case):
+    m, l0, l1, rho, kind = case
+    (a0, b0, c0), (a1, b1, c1), (ar, br, cr) = l0, l1, rho
+    at = surd_sign(ar, br, m)
+    # sign of rho - (l0 + l1), over the denominator c0*c1*cr
+    gap = surd_sign(ar * c0 * c1 - (a0 * c1 + a1 * c0) * cr,
+                    br * c0 * c1 - (b0 * c1 + b1 * c0) * cr, m)
+    inside = at >= 0 and gap < 0 if kind == LOWER else at > 0 and gap <= 0
+    ok = surd_sign(a0, b0, m) > 0 and surd_sign(a1, b1, m) > 0 and inside
+    args = [QuadExt(a, b, c, m) for a, b, c in (l0, l1, rho)]
+    if ok:
+        assert ParamVector(*args, kind).rho == args[2]
+    else:
+        with pytest.raises(DomainError):
+            ParamVector(*args, kind)
+
+
 def test_streams_are_replayable_and_buffered():
     v = ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, SQRT3_OVER_3)
     s = iet_stream(v)
     assert s.prefix(10) == s.prefix(10)
     assert s.prefix(5) == s.prefix(10)[:5]
-    assert s.restart().prefix(30) == s.prefix(30)
+    assert iet_stream(v).prefix(30) == s.prefix(30)
     assert s.slice(3, 8) == s.prefix(8)[3:8]
     assert s[4] == s.prefix(5)[4]
     m = mechanical_stream(SlopeIntercept(SQRT3_OVER_3, SQRT3_OVER_3))
@@ -185,16 +223,6 @@ def test_word_stream_repeats():
     assert word_stream("01").prefix(5) == "01010"
     with pytest.raises(ValueError):
         word_stream("")
-
-
-def test_stream_iteration_matches_prefix():
-    s = word_stream("0110")
-    out = []
-    for i, ch in enumerate(s):
-        if i == 9:
-            break
-        out.append(ch)
-    assert "".join(out) == s.prefix(9)
 
 
 FIELDS = (2, 3, 5, 7, 13)
@@ -324,8 +352,8 @@ CHUNKED_STREAMS = {
         mechanical_stream(SlopeIntercept(SQRT3_OVER_3, HALF))),
     "square_root": lambda: square_root_stream(fixed_point_stream(parse_genword("DGG"))),
     "word": lambda: word_stream("0110100"),
-    "thue_morse": lambda: PrefixStream(_thue_morse),
-    "thue_morse_image": lambda: BinaryMorphism("01", "1").apply(PrefixStream(_thue_morse)),
+    "thue_morse": lambda: PrefixStream(_thue_morse()),
+    "thue_morse_image": lambda: BinaryMorphism("01", "1").apply(PrefixStream(_thue_morse())),
 }
 
 
@@ -342,7 +370,6 @@ def test_reads_do_not_depend_on_block_boundaries(name):
         parts.append(s.slice(i, j))
         i = j
     assert "".join(parts) == whole
-    assert "".join(islice(make(), n)) == whole
     assert "".join(islice(make().blocks(), n))[:n] == whole
     s = make()
     for _ in range(60):  # random positions, in random order
@@ -350,6 +377,25 @@ def test_reads_do_not_depend_on_block_boundaries(name):
         j = min(n, i + rng.randint(0, 40))
         assert s.slice(i, j) == whole[i:j]
     assert s.prefix(n) == whole
+
+
+def test_a_read_ahead_is_handed_on_in_bounded_blocks():
+    # after a long read-ahead, a morphic image and a square scan take the
+    # letters they read, not a copy of the whole buffer
+    s = fixed_point_stream(parse_genword("DGG"))
+    s.prefix(10**6)
+    phi = compose(parse_genword("DGG"))
+    tracemalloc.start()
+    try:
+        image = phi.apply(s).prefix(10)
+        root = shortest_square_prefix(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image == s.prefix(10) and root == "10"
+    assert peak < 100_000
+    blocks = list(islice(s.blocks(), 50))
+    assert max(map(len, blocks)) == 256 and "".join(blocks) == s.prefix(50 * 256)
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,4 +464,4 @@ def test_prefix_after_far_slice():
     assert s[FAR + 5] == far[5]
     assert s.slice(FAR + 10, FAR + 20) == far[10:20]
     assert s.slice(100, 400) == iet_code(v, 400)[100:]
-    assert s.restart().slice(FAR, FAR + 64) == far
+    assert iet_stream(v).slice(FAR, FAR + 64) == far
