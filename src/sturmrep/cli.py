@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genword", required=True)
     p.add_argument("--length", type=non_negative_int, default=80)
     p.add_argument("--blocks", type=non_negative_int, default=0, help="print this many square blocks instead")
-    p.add_argument("--scan-bound", type=non_negative_int, default=DEFAULT_SCAN_BOUND)
+    p.add_argument("--scan-bound", type=non_negative_int, default=DEFAULT_SCAN_BOUND,
+                   help="longest root the block scan of --blocks searches; --length reads no scan")
 
     p = sub.add_parser("sqrt-morphism", help="morphism fixing the square root")
     p.add_argument("genword")

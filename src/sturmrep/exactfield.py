@@ -151,17 +151,18 @@ class QuadExt:
     def floor(self) -> int:
         return surd_floor(self.a, self.b, self.m, self.c)
 
-    def ceil(self) -> int:
-        return -((-self).floor())
-
     def conjugate(self) -> QuadExt:
         if self.b == 0:
             return self
         return QuadExt(self.a, -self.b, self.c, self.m)
 
     # -- arithmetic ---------------------------------------------------------
+    # an int operand n takes a fast path: self + n is (a + n*c + b*sqrt(m))/c,
+    # with no QuadExt built for n
 
     def __add__(self, other):
+        if isinstance(other, int):
+            return QuadExt(self.a + other * self.c, self.b, self.c, self.m)
         o = self.coerce(other)
         if o is None:
             return NotImplemented
@@ -179,18 +180,24 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.c, self.m)
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return QuadExt(self.a - other * self.c, self.b, self.c, self.m)
         o = self.coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
+        if isinstance(other, int):
+            return QuadExt(other * self.c - self.a, -self.b, self.c, self.m)
         o = self.coerce(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return QuadExt(self.a * other, self.b * other, self.c, self.m)
         o = self.coerce(other)
         if o is None:
             return NotImplemented
@@ -215,6 +222,8 @@ class QuadExt:
         return QuadExt(self.a * self.c, -self.b * self.c, norm, self.m)
 
     def __truediv__(self, other):
+        if isinstance(other, int) and other:
+            return QuadExt(self.a, self.b, self.c * other, self.m)
         o = self.coerce(other)
         if o is None:
             return NotImplemented
@@ -226,15 +235,11 @@ class QuadExt:
             return NotImplemented
         return o * self._inverse()
 
-    def __floor__(self) -> int:
-        return self.floor()
-
-    def __ceil__(self) -> int:
-        return self.ceil()
-
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            return self.b == 0 and self.c == 1 and self.a == other
         o = self.coerce(other)
         if o is None:
             return NotImplemented
@@ -245,26 +250,32 @@ class QuadExt:
             return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.m))
 
-    def _cmp(self, o: QuadExt) -> int:
-        # sign of self - o, both denominators positive
+    def _cmp(self, other) -> int | None:
+        # sign of self - other, both denominators positive; None when other
+        # is no field element
+        if isinstance(other, int):
+            return surd_sign(self.a - other * self.c, self.b, self.m)
+        o = self.coerce(other)
+        if o is None:
+            return None
         m = common_field(self, o)
         return surd_sign(self.a * o.c - o.a * self.c, self.b * o.c - o.b * self.c, m)
 
     def __lt__(self, other):
-        o = self.coerce(other)
-        return NotImplemented if o is None else self._cmp(o) < 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        o = self.coerce(other)
-        return NotImplemented if o is None else self._cmp(o) <= 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        o = self.coerce(other)
-        return NotImplemented if o is None else self._cmp(o) > 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        o = self.coerce(other)
-        return NotImplemented if o is None else self._cmp(o) >= 0
+        s = self._cmp(other)
+        return NotImplemented if s is None else s >= 0
 
     def __bool__(self):
         return self.sign() != 0

@@ -1,14 +1,17 @@
 """Square roots of Sturmian sequences.
 
-The input stream is cut greedily into blocks w*w where each w*w is the
-shortest square prefix of what remains; the square root is the stream of
-the roots w.  The cut is one regex scan over one window of the stream's
-blocks: each root is one regex match, shortest root first, at the current
-position, and when the unread part of the window holds no square it grows
-to twice its length, up to twice the scan bound.  For the fixed point of
-a characteristic-fixing morphism the root stream is itself fixed by a
-palindromic morphism built from a small power of the representation
-matrix.
+A Sturmian sequence is cut greedily into blocks w*w where each w*w is the
+shortest square prefix of what remains; its square root is the stream of
+the roots w.  For a 2iet stream with parameter vector (l0, l1, rho) the
+root stream is the 2iet stream of psi(l0, l1, rho) = (l0, l1, (rho+l0)/2),
+the square root map of Peltomaki and Whiteland, so no scan runs.  Other
+streams, such as morphic images, and the blocks themselves come from one
+regex scan over one window of the stream's blocks: each root is one regex
+match, shortest root first, at the current position, and when the unread
+part of the window holds no square it grows to twice its length, up to
+twice the scan bound.  For the fixed point of a characteristic-fixing
+morphism the root stream is itself fixed by a palindromic morphism built
+from a small power of the representation matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterator
 from .errors import NotCharacteristicError, NotPrimitiveError, ScanBoundError
 from .morphisms import BinaryMorphism, GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
-from .words import PrefixStream
+from .words import ParamVector, PrefixStream, iet_stream
 
 DEFAULT_SCAN_BOUND = 10_000
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
@@ -34,13 +37,17 @@ def shortest_square_prefix(
     return next(iter_square_roots(stream, scan_bound))
 
 
+def _check_scan_bound(scan_bound: int) -> None:
+    if scan_bound < 0:
+        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
+
+
 def iter_square_roots(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> Iterator[str]:
     """Roots of the greedy square-block decomposition, in order.  Reads the
     stream through its buffer only, so the caller may keep using it."""
-    if scan_bound < 0:
-        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
+    _check_scan_bound(scan_bound)
     blocks = stream.blocks()
     window, pos = "", 0
     while True:
@@ -65,8 +72,16 @@ def iter_square_roots(
 def square_root_stream(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> PrefixStream:
-    """Concatenation of the block roots as a lazy stream, a root per block."""
-    return PrefixStream(iter_square_roots(stream, scan_bound))
+    """Concatenation of the block roots as a lazy stream.  A 2iet stream
+    gives the 2iet stream of psi of its parameter vector; scan_bound limits
+    only the scan that any other stream is read by, a root per block."""
+    _check_scan_bound(scan_bound)
+    v = stream.params
+    if v is None:
+        return PrefixStream(iter_square_roots(stream, scan_bound))
+    # psi moves rho, not the intercept: for the upper kind rho = l0+l1
+    # stands for intercept 0
+    return iet_stream(ParamVector(v.l0, v.l1, (v.rho + v.l0) / 2, v.boundary))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .words import (
     LOWER,
     UPPER,
     ParamVector,
+    PrefixStream,
     SlopeIntercept,
     iet_code,
     iet_stream,
@@ -323,7 +324,8 @@ def suite_sqrt_example(samples: int | None, seed: int) -> str:
 
 def suite_sqrt_theorem(samples: int | None, seed: int) -> str:
     """Square-root morphisms of random characteristic-fixing words are
-    palindromic, odd, conjugate to the k-th power, and fix the root stream."""
+    palindromic, odd, conjugate to the k-th power, and fix the root stream;
+    the root map gives the root stream that the square scan does."""
     n = samples if samples is not None else 50
     for rng in _samples(seed, n):
         word = random_genword(rng, alphabet=(G, D), min_len=2, max_len=8, primitive=True)
@@ -345,6 +347,9 @@ def suite_sqrt_theorem(samples: int | None, seed: int) -> str:
             raise SuiteFailure(f"not conjugate to power: {text}")
         root_stream = square_root_stream(fixed_point_stream(word))
         want = root_stream.prefix(LETTERS)
+        scan = PrefixStream(iter_square_roots(fixed_point_stream(word)))
+        if scan.prefix(LETTERS) != want:
+            raise SuiteFailure(f"root map differs from the scan: {text}")
         if psi.apply(root_stream).prefix(LETTERS) != want:
             raise SuiteFailure(f"root stream not fixed: {text}")
     return f"{n} words over {{G,D}}, {LETTERS} letters"

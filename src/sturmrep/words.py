@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DomainError
 from .exactfield import QuadExt, common_field, surd_floor, surd_sign
@@ -33,16 +32,15 @@ class PrefixStream:
     source is an iterator of str blocks, one letter or many per step.
     Blocks are buffered whole as they are read, so prefix() is idempotent
     and several consumers may read one stream at independent positions;
-    blocks() hands the letters on in blocks of at most 256.  An optional
-    seek(i) returns the blocks from letter i on: slice(i, j) with i over 512
-    letters past the buffer then costs j - i letters, and the buffer stays
-    a prefix.
+    blocks() hands the letters on in blocks of at most 256.  params is the
+    ParamVector a 2iet stream codes, None for other streams; with it,
+    slice(i, j) with i over 512 letters past the buffer seeks to letter i
+    and costs j - i letters, and the buffer stays a prefix.
     """
 
-    def __init__(self, source: Iterator[str],
-                 seek: Callable[[int], Iterator[str]] | None = None):
+    def __init__(self, source: Iterator[str], params: ParamVector | None = None):
         self._source = source
-        self._seek = seek
+        self.params = params
         self._buffer = bytearray()
 
     def _ensure(self, n: int) -> None:
@@ -59,8 +57,8 @@ class PrefixStream:
         if not 0 <= i <= j:
             raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
         # a seek costs about 500 letters of the engine: nearer starts extend
-        if self._seek is not None and i > len(self._buffer) + 512:
-            return PrefixStream(self._seek(i)).prefix(j - i)
+        if self.params is not None and i > len(self._buffer) + 512:
+            return PrefixStream(_iet_letters(self.params, i)).prefix(j - i)
         self._ensure(j)
         return self._buffer[i:j].decode()
 
@@ -146,12 +144,6 @@ class ParamVector:
             raise DomainError("starting point outside the exchanged intervals")
         object.__setattr__(self, "pairs", (m, *pairs))
 
-    def scaled(self, factor) -> ParamVector:
-        f = _as_field(factor)
-        if not f > 0:
-            raise DomainError("scaling factor must be positive")
-        return ParamVector(self.l0 * f, self.l1 * f, self.rho * f, self.boundary)
-
 
 def _repeated(word: str, n: int) -> Iterator[str]:
     # n copies of word in blocks of about 64 letters
@@ -222,7 +214,7 @@ def iet_stream(v: ParamVector) -> PrefixStream:
     # proportional
     if v.l0.a * v.l1.b == v.l0.b * v.l1.a:
         raise DomainError("rational slope generates a periodic sequence")
-    return PrefixStream(_iet_letters(v), partial(_iet_letters, v))
+    return PrefixStream(_iet_letters(v), v)
 
 
 def iet_code(v: ParamVector, n: int) -> str:

@@ -163,6 +163,18 @@ def test_sqrt_and_blocks():
     assert code == 0 and out == "10^2 1^2 01^2 0110101^2\n"
 
 
+def test_scan_bound_limits_only_the_block_scan(capsys):
+    # the root stream of a fixed point comes from its parameter vector, so
+    # no bound applies to it; the blocks still come from the scan
+    code, out = capture(["sqrt", "--genword", "DGG", "--scan-bound", "1"])
+    assert (code, out) == (0, capture(["sqrt", "--genword", "DGG"])[1])
+    assert out == (
+        "10101011010110101011010101101010110101101010110101011010101101011010101101010110\n")
+    code, out = capture(["sqrt", "--genword", "DGG", "--blocks", "4", "--scan-bound", "1"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: no square prefix with root length <= 1\n"
+
+
 def test_sqrt_morphism():
     code, out = capture(["sqrt-morphism", "DGG"])
     assert code == 0

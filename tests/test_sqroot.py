@@ -1,9 +1,10 @@
 import random
 import time
+import tracemalloc
 from itertools import chain, cycle, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sturmrep import verify
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
@@ -33,6 +34,7 @@ from sturmrep.sqroot import (
 )
 from sturmrep.words import (
     LOWER,
+    UPPER,
     ParamVector,
     PrefixStream,
     SlopeIntercept,
@@ -42,11 +44,13 @@ from sturmrep.words import (
 
 from oracles import (
     fixed_point_by_iteration,
+    mechanical_letters_at,
     mechanical_oracle,
     naive_shortest_square_root,
     naive_square_roots,
     word_stream,
 )
+from test_words import fixed_point_vectors, iet_vectors
 
 DG2 = parse_genword("DGG")
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
@@ -184,10 +188,12 @@ def test_pinned_sqrt_example_matches_oracles():
 
 
 def test_sqrt_equals_mechanical_with_intercept_one_half():
-    # three independent routes to the same sequence
+    # independent routes to the same sequence: the root map, the scan, the
+    # mechanical word and the fixed point of psi
     sqrt_stream = square_root_stream(fixed_point_stream(DG2))
+    scan = PrefixStream(iter_square_roots(fixed_point_stream(DG2)))
     mech = mechanical_stream(SlopeIntercept(SQRT3_OVER_3, HALF, LOWER))
-    assert sqrt_stream.prefix(400) == mech.prefix(400)
+    assert sqrt_stream.prefix(400) == scan.prefix(400) == mech.prefix(400)
     psi_fixed = "1"
     while len(psi_fixed) < 400:
         psi_fixed = PSI.apply(psi_fixed)
@@ -314,19 +320,33 @@ def test_sqrt_theorem_properties_random():
         assert psi.apply(roots).prefix(1500) == roots.prefix(1500)
 
 
-def test_sqrt_parameter_route():
-    # square root of any Sturmian stream has intercept (1-alpha+delta)/2
-    rng = random.Random(37)
-    for _ in range(5):
-        m = rng.choice((2, 3, 5))
-        x = QuadExt(rng.randint(-9, 9), rng.randint(1, 9), rng.randint(1, 9), m)
-        alpha = x - x.floor()
-        delta = QuadExt(rng.randint(0, 7), 0, 8)
-        v = ParamVector(1 - alpha, alpha, delta, LOWER)
-        routed = ParamVector(1 - alpha, alpha, (1 - alpha + delta) / 2, LOWER)
-        assert square_root_stream(iet_stream(v)).prefix(1000) == iet_stream(
-            routed
-        ).prefix(1000)
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(iet_vectors(), fixed_point_vectors()))
+@example(ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, 0, LOWER))  # intercept 0
+@example(ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, 1, UPPER))  # upper intercept 0 or 1
+@example(ParamVector(1 - SQRT3_OVER_3, SQRT3_OVER_3, SQRT3_OVER_3, UPPER))
+def test_square_root_map_matches_the_scan(v):
+    # psi(l0, l1, rho) = (l0, l1, (rho+l0)/2) gives the greedy roots on both
+    # kinds, with rho on the interval ends, rational, irrational, on an
+    # orbit point that hits an end, and for fixed points.  A slope near 0
+    # with rho = l0 can start with a root of over 10^4 letters
+    scan = PrefixStream(iter_square_roots(iet_stream(v), scan_bound=10**6))
+    assert square_root_stream(iet_stream(v)).prefix(600) == scan.prefix(600)
+
+
+def test_far_root_slice_seeks():
+    # the scan read every root before a slice: 4.3 s at offset 10^7
+    far = 10**12
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        got = square_root_stream(fixed_point_stream(DG2)).slice(far, far + 64)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 100_000
+    assert got == mechanical_letters_at((0, 1, 3), (1, 0, 2), 3, LOWER, range(far, far + 64))
 
 
 def test_sqrt_morphism_eigenvector_is_half():
