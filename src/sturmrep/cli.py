@@ -29,7 +29,6 @@ from .sqroot import (
     sqrt_fixing_morphism,
 )
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
-from .verify import SUITES, run_suites
 
 
 def non_negative_int(text: str) -> int:
@@ -143,10 +142,13 @@ def _cmd(args, out) -> int:
         if args.blocks > 0:
             print(square_decomposition(stream, args.blocks, args.scan_bound), file=out)
         else:
-            print(square_root_stream(stream, args.scan_bound).prefix(args.length), file=out)
+            print(square_root_stream(stream).prefix(args.length), file=out)
     elif args.command == "sqrt-morphism":
         print(sqrt_fixing_morphism(parse_genword(args.genword)), file=out)
     elif args.command == "verify":
+        # imported here, so that no other command loads the suites
+        from .verify import SUITES, run_suites
+
         if args.suite == "all":
             names = list(SUITES)
         elif args.suite in SUITES:

@@ -264,29 +264,22 @@ def rightmost_conjugate(phi: BinaryMorphism) -> BinaryMorphism:
     return BinaryMorphism(i0[n0 - r0 :] + i0[: n0 - r0], i1[n1 - r1 :] + i1[: n1 - r1])
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
 def conjugates_of(matrix: Mat2) -> list[BinaryMorphism]:
     """All morphisms of the monoid with the given incidence matrix, in
-    increasing order of the third-row sum of their representations.
+    increasing order of the third-row sum s of their representations.
 
-    For each admissible sum S exactly one third row (E, S-E) keeps the
-    3x3 extension inside the represented monoid, with
-    E = ceil((a*S - b)/(a + b)).
+    They are the rotations of the lower Christoffel word p with a+b zeros
+    and c+d ones, p[i] = floor((i+1)(c+d)/n) - floor(i(c+d)/n) for
+    n = a+b+c+d: for s = 0, ..., n-2, phi(0)phi(1) is p read cyclically
+    from letter s*k mod n, where k = a+c = |phi(0)|.  The tests hold this
+    to the third-row definition, E = ceil((a*s - b)/(a + b)) and F = s-E.
     """
-    from .representation import Mat3, decompose  # late import, avoids cycle
-
     a, b, c, d = matrix.entries()
     if min(a, b, c, d) < 0:
         raise DomainError("incidence matrices have non-negative entries")
     if matrix.det() != 1:
         raise DomainError("incidence matrix must have determinant 1")
-    out = []
-    for s in range(a + b + c + d - 1):
-        e = _ceil_div(a * s - b, a + b)
-        f = s - e
-        rows = ((a, b, 0), (c, d, 0), (e, f, 1))
-        out.append(compose(decompose(Mat3(rows))))
-    return out
+    n, k, ones = a + b + c + d, a + c, c + d
+    pp = "".join(str((i + 1) * ones // n - i * ones // n) for i in range(n)) * 2
+    starts = (s * k % n for s in range(n - 1))
+    return [BinaryMorphism(pp[t : t + k], pp[t + k : t + n]) for t in starts]

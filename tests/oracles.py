@@ -227,3 +227,17 @@ def decompose_by_peeling(rows) -> list[str]:
             assert a <= c and b <= d, "block dichotomy violated"
             a, b, c, d, e, f = d, c, b, a, f, e
             swapped = not swapped
+
+
+def conjugates_by_third_rows(a: int, b: int, c: int, d: int) -> list[tuple[str, str]]:
+    """Images of 0 and 1 of every monoid morphism with incidence matrix
+    (a b; c d) and determinant 1, by the third-row definition: for each
+    third-row sum s = 0, ..., a+b+c+d-2 the one member row is (E, s-E) with
+    E = ceil((a*s - b)/(a + b)), and the member is factored by peeling and
+    composed by substitution."""
+    out = []
+    for s in range(a + b + c + d - 1):
+        e = -((b - a * s) // (a + b))
+        rows = ((a, b, 0), (c, d, 0), (e, s - e, 1))
+        out.append(compose_by_substitution(decompose_by_peeling(rows)))
+    return out

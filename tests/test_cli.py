@@ -1,11 +1,15 @@
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from sturmrep.cli import run
 from sturmrep.morphisms import G
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def capture(argv):
@@ -210,6 +214,21 @@ def test_verify_reports_the_first_failing_property(monkeypatch):
 def test_verify_header_records_seed():
     _, out = capture(["verify", "--suite", "relations", "--seed", "99"])
     assert out.splitlines()[0].startswith("verify: seed=99")
+
+
+def test_only_verify_loads_the_suites():
+    # a fresh interpreter, so that no earlier test has imported the suites
+    child = (
+        "import sys\n"
+        "from sturmrep.cli import run\n"
+        "code = run(['compose', 'DGG'])\n"
+        "print(code, 'sturmrep.verify' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0->10,1->10101\n0 False\n", "")
 
 
 def test_help_per_subcommand(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sturmrep.errors import CyclicMorphismError, DomainError, ParseError
 from sturmrep.morphisms import (
@@ -24,7 +24,13 @@ from sturmrep.morphisms import (
 )
 from sturmrep.representation import rep
 
-from oracles import compose_by_substitution, fixed_point_by_iteration, substitute, word_stream
+from oracles import (
+    compose_by_substitution,
+    conjugates_by_third_rows,
+    fixed_point_by_iteration,
+    substitute,
+    word_stream,
+)
 
 ALL = (G, GT, D, DT)
 genwords = st.lists(st.sampled_from(ALL), max_size=10).map(tuple)
@@ -204,6 +210,36 @@ def test_conjugates_counts():
     ]
     assert conjugates_of(Mat2.identity()) == [IDENTITY]
     assert conjugates_of(Mat2(1, 1, 0, 1)) == [gen_morphism(G), gen_morphism(GT)]
+
+
+def test_conjugates_match_the_third_rows_on_every_small_matrix():
+    matrices = conjugate_count = 0
+    for n in range(2, 41):
+        for a in range(1, n):
+            for b in range(n - a):
+                for c in range(n - a - b):
+                    d = n - a - b - c
+                    if a * d - b * c != 1:
+                        continue
+                    family = conjugates_of(Mat2(a, b, c, d))
+                    expected = conjugates_by_third_rows(a, b, c, d)
+                    assert [(phi.image0, phi.image1) for phi in family] == expected
+                    matrices += 1
+                    conjugate_count += len(family)
+    assert (matrices, conjugate_count) == (489, 12621)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from(ALL), max_size=14).map(tuple))
+def test_conjugates_match_the_third_rows_on_word_incidences(w):
+    phi = compose(w)
+    matrix = phi.incidence()
+    assume(sum(matrix.entries()) <= 600)
+    family = conjugates_of(matrix)
+    assert [(psi.image0, psi.image1) for psi in family] == conjugates_by_third_rows(
+        *matrix.entries()
+    )
+    assert phi in family
 
 
 def test_conjugates_share_incidence_and_rightmost():
