@@ -40,7 +40,6 @@ from .morphisms import (
     compose,
     conjugates_of,
     format_genword,
-    gen_morphism,
     parse_genword,
     right_conjugate_step,
     rightmost_conjugate,
@@ -53,7 +52,6 @@ from .representation import (
     decompose,
     rep,
     rep_exchange,
-    rep_gen,
 )
 from .dynamics import (
     EigenData,
@@ -72,7 +70,6 @@ from .sqroot import (
     SqrtMorphism,
     SquareDecomposition,
     iter_square_roots,
-    shortest_square_prefix,
     sqrt_fixing_morphism,
     square_decomposition,
     square_root_stream,

@@ -144,7 +144,7 @@ class YasutomiReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def as_text(self) -> str:
+    def __str__(self) -> str:
         lines = [
             f"alpha={self.alpha}",
             f"delta={self.delta}",
@@ -153,8 +153,6 @@ class YasutomiReport:
             f"ok={'yes' if self.ok else 'no'}",
         ]
         return "\n".join(lines)
-
-    __str__ = as_text
 
 
 def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:

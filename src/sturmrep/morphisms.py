@@ -163,9 +163,6 @@ class BinaryMorphism:
             return PrefixStream("".join(map(image, block)) for block in w.blocks())
         raise TypeError(f"cannot apply a morphism to {type(w).__name__}")
 
-    def __call__(self, w):
-        return self.apply(w)
-
     def __mul__(self, other: BinaryMorphism) -> BinaryMorphism:
         # composition: (self * other)(x) = self(other(x))
         if not isinstance(other, BinaryMorphism):
@@ -225,10 +222,6 @@ def compose(word: GenWord) -> BinaryMorphism:
         else:
             raise KeyError(g)
     return BinaryMorphism(x, y)
-
-
-def gen_morphism(g: Generator) -> BinaryMorphism:
-    return compose((g,))
 
 
 def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:

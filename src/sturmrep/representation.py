@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import MembershipError
+from .errors import DomainError, MembershipError
 from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, parse_int_rows, power
 
 Rows = tuple[tuple[int, int, int], ...]
@@ -80,17 +80,17 @@ class Mat3:
         )
 
     def inverse(self) -> Mat3:
-        """Closed-form inverse for the monoid shape with determinant 1."""
-        if not self.has_monoid_shape():
-            raise MembershipError("third column != (0,0,1)")
-        a, b, c, d, e, f = self.named()
-        if a * d - b * c != 1:
-            raise MembershipError("AD-BC=1")
+        """Exact inverse of any integer matrix with determinant s = 1 or -1:
+        the adjugate over s, which is the adjugate times s."""
+        s = self.det()
+        if s not in (1, -1):
+            raise DomainError(f"no integer inverse: determinant {s}")
+        (a, b, c), (d, e, f), (g, h, i) = self.rows
         return Mat3(
             (
-                (d, -b, 0),
-                (-c, a, 0),
-                (f * c - e * d, b * e - f * a, 1),
+                (s * (e * i - f * h), s * (c * h - b * i), s * (b * f - c * e)),
+                (s * (f * g - d * i), s * (a * i - c * g), s * (c * d - a * f)),
+                (s * (d * h - e * g), s * (b * g - a * h), s * (a * e - b * d)),
             )
         )
 
@@ -153,10 +153,6 @@ def rep(word: GenWord) -> Mat3:
             for i in range(0, len(level), 2)
         ]
     return level[0]
-
-
-def rep_gen(g: Generator) -> Mat3:
-    return rep((g,))
 
 
 def rep_exchange() -> Mat3:

@@ -25,29 +25,23 @@ from .morphisms import BinaryMorphism, GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
 from .words import ParamVector, PrefixStream, iet_stream
 
+# A cap on the scan's work, not a limit on valid roots: root lengths follow
+# the slope's partial quotients (slope [0; 309, 51, ...]: first root 15 760 letters).
 DEFAULT_SCAN_BOUND = 10_000
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
-
-
-def shortest_square_prefix(
-    stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
-) -> str:
-    """Root w of the shortest prefix of the form w*w; roots longer than
-    scan_bound are not searched and raise instead."""
-    return next(iter_square_roots(stream, scan_bound))
-
-
-def _check_scan_bound(scan_bound: int) -> None:
-    if scan_bound < 0:
-        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
 
 
 def iter_square_roots(
     stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
 ) -> Iterator[str]:
     """Roots of the greedy square-block decomposition, in order.  Reads the
-    stream through its buffer only, so the caller may keep using it."""
-    _check_scan_bound(scan_bound)
+    stream through its buffer only, so the caller may keep using it.
+
+    A root longer than scan_bound raises ScanBoundError.  The bound caps
+    the work of one search; it says nothing of which roots are valid, as
+    root lengths follow the slope's partial quotients."""
+    if scan_bound < 0:
+        raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
     blocks = stream.blocks()
     window, pos = "", 0
     while True:
@@ -69,16 +63,14 @@ def iter_square_roots(
         window, pos = "".join(parts), 0
 
 
-def square_root_stream(
-    stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
-) -> PrefixStream:
+def square_root_stream(stream: PrefixStream) -> PrefixStream:
     """Concatenation of the block roots as a lazy stream.  A 2iet stream
-    gives the 2iet stream of psi of its parameter vector; scan_bound limits
-    only the scan that any other stream is read by, a root per block."""
-    _check_scan_bound(scan_bound)
+    gives the 2iet stream of psi of its parameter vector; any other stream
+    is read by the scan at the default bound, a root per block (for longer
+    roots use PrefixStream(iter_square_roots(stream, bound)))."""
     v = stream.params
     if v is None:
-        return PrefixStream(iter_square_roots(stream, scan_bound))
+        return PrefixStream(iter_square_roots(stream))
     # psi moves rho, not the intercept: for the upper kind rho = l0+l1
     # stands for intercept 0
     return iet_stream(ParamVector(v.l0, v.l1, (v.rho + v.l0) / 2, v.boundary))

@@ -363,7 +363,7 @@ def suite_yasutomi(samples: int | None, seed: int) -> str:
         word = random_genword(rng, min_len=1, max_len=10, primitive=True)
         report = yasutomi_check(dominant_eigen(word))
         if not report.ok:
-            raise SuiteFailure(f"{format_genword(word)}: {report.as_text()}")
+            raise SuiteFailure(f"{format_genword(word)}: {report}")
     return f"{n} random primitive words"
 
 
@@ -415,9 +415,3 @@ def run_suite(name: str, samples: int | None, seed: int) -> SuiteResult:
         return SuiteResult(name, True, SUITES[name](samples, seed))
     except SuiteFailure as failure:
         return SuiteResult(name, False, str(failure))
-
-
-def run_suites(
-    names: Iterable[str], samples: int | None, seed: int
-) -> list[SuiteResult]:
-    return [run_suite(name, samples, seed) for name in names]

@@ -245,7 +245,7 @@ def test_yasutomi_rejections():
     delta = QuadExt(-2, 2, 1, 2)  # 2*sqrt(2)-2, conjugate -2*sqrt(2)-2
     report = yasutomi_condition(alpha, delta)
     assert not report.ok and report.same_field and not report.conjugate_in_bounds
-    assert "same_field=yes" in report.as_text()
+    assert "same_field=yes" in str(report)
     assert "ok=no" in str(report)
 
 

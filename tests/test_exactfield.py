@@ -1,6 +1,8 @@
+import ast
 import math
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -269,3 +271,37 @@ def test_mixed_field_comparison_names_both_fields():
 def test_hash_consistency_with_rationals():
     assert hash(QuadExt(4, 0, 2)) == hash(2) == hash(QuadExt(2))
     assert len({QuadExt(1, 1, 2, 5), QuadExt(2, 2, 4, 5)}) == 1
+
+
+
+def test_no_float_in_the_library():
+    # every decision is exact: no float literal, no float() or round(), math
+    # only for integer routines, and no float-based module.  verify.py is
+    # exempt: its 0.5 and 0.1 only draw random samples.
+    math_ok = {"isqrt", "gcd", "lcm"}
+    banned_modules = {"decimal", "cmath", "statistics"}
+    sources = sorted(Path(exactfield.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        if path.name == "verify.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        for node in nodes:
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Constant):
+                assert not isinstance(node.value, float), f"{where}: float literal"
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in ("float", "round"), f"{where}: {node.func.id}()"
+            elif isinstance(node, ast.Import):
+                assert not {a.name for a in node.names} & banned_modules, where
+                assert all(a.asname is None for a in node.names if a.name == "math"), where
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module not in banned_modules, where
+                if node.module == "math":
+                    assert {a.name for a in node.names} <= math_ok, where
+        # math appears only as math.isqrt, math.gcd or math.lcm
+        uses = [n for n in nodes if isinstance(n, ast.Name) and n.id == "math"]
+        attrs = [n for n in nodes if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "math"]
+        assert len(uses) == len(attrs), f"{path.name}: bare use of math"
+        assert {n.attr for n in attrs} <= math_ok, path.name

@@ -16,7 +16,6 @@ from sturmrep.morphisms import (
     compose,
     conjugates_of,
     format_genword,
-    gen_morphism,
     parse_genword,
     power,
     right_conjugate_step,
@@ -67,10 +66,10 @@ budgetwords = st.lists(st.one_of(genwords, runs, randomwords), max_size=6).map(
 
 
 def test_generator_images():
-    assert gen_morphism(G) == BinaryMorphism("0", "01")
-    assert gen_morphism(GT) == BinaryMorphism("0", "10")
-    assert gen_morphism(D) == BinaryMorphism("10", "1")
-    assert gen_morphism(DT) == BinaryMorphism("01", "1")
+    assert compose((G,)) == BinaryMorphism("0", "01")
+    assert compose((GT,)) == BinaryMorphism("0", "10")
+    assert compose((D,)) == BinaryMorphism("10", "1")
+    assert compose((DT,)) == BinaryMorphism("01", "1")
 
 
 def test_compose_examples():
@@ -110,8 +109,7 @@ def test_genword_text_round_trip_on_long_words(word):
 
 def test_apply():
     phi = BinaryMorphism("10", "10101")
-    assert phi.apply("10") == "1010110"
-    assert phi("10") == "10101" + "10"
+    assert phi.apply("10") == "10101" + "10" == "1010110"
     assert IDENTITY.apply("0110") == "0110"
     assert EXCHANGE.apply("0110") == "1001"
     with pytest.raises(KeyError):
@@ -137,8 +135,8 @@ def test_morphism_text_round_trip():
 def test_incidence():
     assert compose(parse_genword("DGG")).incidence() == Mat2(1, 2, 1, 3)
     assert IDENTITY.incidence() == Mat2.identity()
-    assert gen_morphism(G).incidence() == gen_morphism(GT).incidence()
-    assert gen_morphism(D).incidence() == gen_morphism(DT).incidence()
+    assert compose((G,)).incidence() == compose((GT,)).incidence()
+    assert compose((D,)).incidence() == compose((DT,)).incidence()
 
 
 @given(genwords, genwords)
@@ -168,7 +166,7 @@ def test_primitivity_iff_both_letter_kinds(w):
 
 
 def test_right_conjugate_step():
-    assert right_conjugate_step(gen_morphism(GT)) == gen_morphism(G)
+    assert right_conjugate_step(compose((GT,))) == compose((G,))
     assert right_conjugate_step(BinaryMorphism("10", "10101")) is None
     assert right_conjugate_step(IDENTITY) is None
     with pytest.raises(CyclicMorphismError):
@@ -176,7 +174,7 @@ def test_right_conjugate_step():
 
 
 def test_rightmost_conjugate():
-    assert rightmost_conjugate(gen_morphism(GT)) == gen_morphism(G)
+    assert rightmost_conjugate(compose((GT,))) == compose((G,))
     phi = BinaryMorphism("10", "10101")
     assert rightmost_conjugate(phi) == phi
     with pytest.raises(CyclicMorphismError):
@@ -209,7 +207,7 @@ def test_conjugates_counts():
         BinaryMorphism("10", "11010"),
     ]
     assert conjugates_of(Mat2.identity()) == [IDENTITY]
-    assert conjugates_of(Mat2(1, 1, 0, 1)) == [gen_morphism(G), gen_morphism(GT)]
+    assert conjugates_of(Mat2(1, 1, 0, 1)) == [compose((G,)), compose((GT,))]
 
 
 def test_conjugates_match_the_third_rows_on_every_small_matrix():

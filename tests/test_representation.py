@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sturmrep.errors import MembershipError, ParseError
+from sturmrep.errors import DomainError, MembershipError, ParseError
 from sturmrep.exactfield import QuadExt
 from sturmrep.morphisms import D, DT, G, GT, compose, format_genword, parse_genword
 from sturmrep.representation import (
@@ -16,7 +16,6 @@ from sturmrep.representation import (
     decompose,
     rep,
     rep_exchange,
-    rep_gen,
 )
 
 from oracles import decompose_by_peeling, rep_by_products
@@ -48,10 +47,10 @@ R_D = ((1, 0, 0), (1, 1, 0), (1, 0, 1))
 
 
 def test_generator_matrices():
-    assert rep_gen(GT).rows == R_GT
-    assert rep_gen(G).rows == R_G
-    assert rep_gen(DT).rows == R_DT
-    assert rep_gen(D).rows == R_D
+    assert rep((GT,)).rows == R_GT
+    assert rep((G,)).rows == R_G
+    assert rep((DT,)).rows == R_DT
+    assert rep((D,)).rows == R_D
 
 
 def test_rep_examples():
@@ -207,7 +206,7 @@ def test_companion_inequality_holds_for_members():
 def test_decompose_examples():
     assert format_genword(decompose(Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1))))) == "DGG"
     assert decompose(Mat3.identity()) == ()
-    assert format_genword(decompose(rep_gen(GT))) == "G'"
+    assert format_genword(decompose(rep((GT,)))) == "G'"
     # the last run, at C = 0 or at B = 0
     assert format_genword(decompose(Mat3(((1, 3, 0), (0, 1, 0), (0, 2, 1))))) == "GG'G'"
     assert format_genword(decompose(Mat3(((1, 0, 0), (3, 1, 0), (1, 0, 1))))) == "D'D'D"
@@ -250,24 +249,36 @@ def test_faithfulness_small_scale():
 
 
 def test_inverse_closed_form():
-    assert rep_gen(G).inverse().rows == ((1, -1, 0), (0, 1, 0), (0, 0, 1))
+    assert rep((G,)).inverse().rows == ((1, -1, 0), (0, 1, 0), (0, 0, 1))
     m = Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1)))
     assert m.inverse().rows == ((3, -2, 0), (-1, 1, 0), (-1, 0, 1))
     assert Mat3.identity().inverse() == Mat3.identity()
+    assert rep_exchange().inverse() == rep_exchange()
 
 
-@given(genwords)
+@given(st.one_of(genwords, runwords))
 def test_inverse_really_inverts(w):
-    m = rep(w)
-    assert m * m.inverse() == Mat3.identity()
-    assert m.inverse() * m == Mat3.identity()
+    # members, and their products with the exchange matrix (outside the
+    # monoid shape) on either side
+    x = rep_exchange()
+    for m in (rep(w), rep(w) * x, x * rep(w), x * rep(w) * x):
+        assert m * m.inverse() == Mat3.identity()
+        assert m.inverse() * m == Mat3.identity()
 
 
 def test_inverse_shape_errors():
-    with pytest.raises(MembershipError):
-        Mat3(((1, 0, 1), (0, 1, 0), (0, 0, 1))).inverse()
-    with pytest.raises(MembershipError):
-        Mat3(((2, 1, 0), (1, 2, 0), (0, 0, 1))).inverse()
+    # the shape is no condition: a determinant-1 matrix outside it inverts,
+    # and so does a determinant -1 one
+    m = Mat3(((1, 0, 1), (0, 1, 0), (0, 0, 1)))
+    assert m.inverse().rows == ((1, 0, -1), (0, 1, 0), (0, 0, 1))
+    swap = Mat3(((0, 1, 0), (1, 0, 0), (0, 0, 1))) * rep(parse_genword("DGG"))
+    assert swap.det() == -1
+    for m in (m, swap):
+        assert m * m.inverse() == m.inverse() * m == Mat3.identity()
+    # any determinant other than 1 or -1 has no integer inverse
+    for rows in (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((2, 1, 0), (1, 2, 0), (0, 0, 1))):
+        with pytest.raises(DomainError, match="no integer inverse"):
+            Mat3(rows).inverse()
 
 
 def test_det():

@@ -27,7 +27,6 @@ from sturmrep.representation import rep
 from sturmrep.sqroot import (
     SquareDecomposition,
     iter_square_roots,
-    shortest_square_prefix,
     sqrt_fixing_morphism,
     square_decomposition,
     square_root_stream,
@@ -67,12 +66,12 @@ PSI = BinaryMorphism("1010101", "1010101101011010101")
 
 def test_shortest_square_prefix_examples():
     stream = fixed_point_stream(DG2)
-    assert shortest_square_prefix(stream) == "10"
+    assert next(iter_square_roots(stream)) == "10"
     # after consuming the first block 10.10 the next root is 1
     roots = iter_square_roots(stream)
     assert next(roots) == "10"
     assert next(roots) == "1"
-    assert shortest_square_prefix(word_stream("0")) == "0"
+    assert next(iter_square_roots(word_stream("0"))) == "0"
 
 
 def _thue_morse():
@@ -85,25 +84,34 @@ def _thue_morse():
 def test_scan_bound_error():
     # Thue-Morse has no square prefix at all
     with pytest.raises(ScanBoundError):
-        shortest_square_prefix(PrefixStream(_thue_morse()), scan_bound=64)
+        next(iter_square_roots(PrefixStream(_thue_morse()), scan_bound=64))
     # the worst case of the scan: every root length up to the bound; a
     # window that grew by one block per miss took 30 s at 3*10^4
     start = time.perf_counter()
     with pytest.raises(ScanBoundError, match="root length <= 10000"):
-        shortest_square_prefix(PrefixStream(_thue_morse()))
+        next(iter_square_roots(PrefixStream(_thue_morse())))
     with pytest.raises(ScanBoundError, match="root length <= 100000"):
-        shortest_square_prefix(PrefixStream(_thue_morse()), scan_bound=10**5)
+        next(iter_square_roots(PrefixStream(_thue_morse()), scan_bound=10**5))
     assert time.perf_counter() - start < 2
 
 
+def test_scan_bound_caps_work_not_valid_roots():
+    # slope (sqrt(2)-1)/128 = [0; 309, 51, ...] and rho = l0: the stream
+    # starts with a square whose root has 309*51 + 1 letters, past the
+    # default bound
+    l0 = QuadExt(129, -1, 128, 2)
+    v = ParamVector(l0, QuadExt(-1, 1, 128, 2), l0)
+    with pytest.raises(ScanBoundError, match="root length <= 15759"):
+        next(iter_square_roots(iet_stream(v), 15_759))
+    root = next(iter_square_roots(iet_stream(v), 15_760))
+    assert len(root) == 15_760 == 309 * 51 + 1
+    assert root == square_root_stream(iet_stream(v)).prefix(15_760)
+    assert root == naive_shortest_square_root(iet_stream(v).prefix(2 * 15_760))
+
+
 def test_negative_scan_bound_is_rejected():
-    for read in (
-        lambda s: shortest_square_prefix(s, scan_bound=-1),
-        lambda s: next(iter_square_roots(s, scan_bound=-1)),
-        lambda s: square_root_stream(s, scan_bound=-1).prefix(1),
-    ):
-        with pytest.raises(ValueError, match="scan_bound must be non-negative"):
-            read(fixed_point_stream(DG2))
+    with pytest.raises(ValueError, match="scan_bound must be non-negative"):
+        next(iter_square_roots(fixed_point_stream(DG2), scan_bound=-1))
 
 
 def test_shortest_square_prefix_matches_naive_scan():
@@ -113,9 +121,9 @@ def test_shortest_square_prefix_matches_naive_scan():
     for _ in range(200):
         u = "".join(rng.choice("01") for _ in range(rng.randint(1, 300)))
         want = naive_shortest_square_root(u * 3)
-        assert shortest_square_prefix(word_stream(u)) == want
+        assert next(iter_square_roots(word_stream(u))) == want
         with pytest.raises(ScanBoundError):
-            shortest_square_prefix(word_stream(u), scan_bound=len(want) - 1)
+            next(iter_square_roots(word_stream(u), scan_bound=len(want) - 1))
 
 
 def test_square_root_length_exhaustive():
@@ -128,10 +136,10 @@ def test_square_root_length_exhaustive():
             want = next((k for k in range(1, len(s) // 2 + 1) if s[:k] == s[k : 2 * k]), 0)
             stream = PrefixStream(iter([s]))
             if want:
-                assert shortest_square_prefix(stream, scan_bound=len(s) // 2) == s[:want]
+                assert next(iter_square_roots(stream, scan_bound=len(s) // 2)) == s[:want]
             else:
                 with pytest.raises(ScanBoundError):
-                    shortest_square_prefix(stream, scan_bound=len(s) // 2)
+                    next(iter_square_roots(stream, scan_bound=len(s) // 2))
                 if len(s) < 16:
                     words.append(s)
 

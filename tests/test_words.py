@@ -12,7 +12,7 @@ from sturmrep.errors import DomainError, FieldMismatchError
 from sturmrep.exactfield import HALF, QuadExt
 from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
 from sturmrep.representation import rep
-from sturmrep.sqroot import shortest_square_prefix, square_root_stream
+from sturmrep.sqroot import iter_square_roots, square_root_stream
 from sturmrep.words import (
     LOWER,
     UPPER,
@@ -389,7 +389,7 @@ def test_a_read_ahead_is_handed_on_in_bounded_blocks():
     tracemalloc.start()
     try:
         image = phi.apply(s).prefix(10)
-        root = shortest_square_prefix(s)
+        root = next(iter_square_roots(s))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
