@@ -3,7 +3,8 @@
 Every slope, intercept and eigenvalue in this package is a QuadExt: a value
 (a + b*sqrt(m))/c held in canonical form and compared by exact integer sign
 tests only.  Rationals are the b = 0 case and carry no field, so they mix
-freely with any irrational operand.
+freely with any irrational operand.  An operand may be an int, a Fraction
+or a QuadExt; each operator is one formula on its parts (a, b, c, m).
 """
 
 from __future__ import annotations
@@ -73,22 +74,38 @@ def surd_floor(a: int, b: int, m: int | None, c: int) -> int:
     return k
 
 
-def common_field(*values: QuadExt) -> int | None:
-    """Radicand shared by the irrational values, None when all are rational;
-    values from two distinct fields raise FieldMismatchError."""
-    m = None
-    for v in values:
-        if v.m is not None and v.m != m:
-            if m is not None:
-                raise FieldMismatchError(f"cannot mix sqrt({m}) with sqrt({v.m})")
-            m = v.m
-    return m
+def common_field(m: int | None, n: int | None) -> int | None:
+    """Radicand shared by two operands, None when both are rational;
+    radicands of two distinct fields raise FieldMismatchError."""
+    if m is None or m == n:
+        return n
+    if n is None:
+        return m
+    raise FieldMismatchError(f"cannot mix sqrt({m}) with sqrt({n})")
 
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
-_FULL_RE = re.compile(
-    r"^\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)(?:/(\d+))?$"
-)
+def operand_parts(x) -> tuple[int, int, int, int | None] | None:
+    """(a, b, c, m) of an int, QuadExt or Fraction operand, None for any
+    other value; no QuadExt is built for a rational."""
+    if isinstance(x, int):
+        return x, 0, 1, None
+    if isinstance(x, QuadExt):
+        return x.a, x.b, x.c, x.m
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator, None
+    return None
+
+
+def _quotient(a1, b1, c1, m1, a2, b2, c2, m2) -> QuadExt:
+    # x/y = x*c2*(a2 - b2*sqrt(m))/(a2^2 - b2^2 m); the norm is 0 only at y = 0
+    m = common_field(m1, m2)
+    norm = a2 * a2 - b2 * b2 * (m or 0)
+    if norm == 0:
+        raise ZeroDivisionError("division by zero")
+    return QuadExt(c2 * (a1 * a2 - b1 * b2 * (m or 0)), c2 * (b1 * a2 - a1 * b2), c1 * norm, m)
+
+
+_PARSE_RE = re.compile(r"^(?:(-?\d+)|\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\))(?:/(\d+))?$")
 
 
 class QuadExt:
@@ -129,16 +146,6 @@ class QuadExt:
             return cls(a + b, 0, c)
         return cls(a, b, c, m)
 
-    @staticmethod
-    def coerce(value) -> "QuadExt | None":
-        if isinstance(value, QuadExt):
-            return value
-        if isinstance(value, int):
-            return QuadExt(value)
-        if isinstance(value, Fraction):
-            return QuadExt(value.numerator, 0, value.denominator)
-        return None
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -157,21 +164,15 @@ class QuadExt:
         return QuadExt(self.a, -self.b, self.c, self.m)
 
     # -- arithmetic ---------------------------------------------------------
-    # an int operand n takes a fast path: self + n is (a + n*c + b*sqrt(m))/c,
-    # with no QuadExt built for n
+    # each operator is one formula on the parts (a, b, c, m) of its operand
 
     def __add__(self, other):
-        if isinstance(other, int):
-            return QuadExt(self.a + other * self.c, self.b, self.c, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        m = common_field(self, o)
+        a, b, c, m = p
         return QuadExt(
-            self.a * o.c + o.a * self.c,
-            self.b * o.c + o.b * self.c,
-            self.c * o.c,
-            m,
+            self.a * c + a * self.c, self.b * c + b * self.c, self.c * c, common_field(self.m, m)
         )
 
     __radd__ = __add__
@@ -180,70 +181,52 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.c, self.m)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return QuadExt(self.a - other * self.c, self.b, self.c, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        return self + (-o)
+        a, b, c, m = p
+        return QuadExt(
+            self.a * c - a * self.c, self.b * c - b * self.c, self.c * c, common_field(self.m, m)
+        )
 
     def __rsub__(self, other):
-        if isinstance(other, int):
-            return QuadExt(other * self.c - self.a, -self.b, self.c, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        return o + (-self)
+        a, b, c, m = p
+        return QuadExt(
+            a * self.c - self.a * c, b * self.c - self.b * c, self.c * c, common_field(m, self.m)
+        )
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadExt(self.a * other, self.b * other, self.c, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        m = common_field(self, o)
-        mm = m if m is not None else 0
-        return QuadExt(
-            self.a * o.a + self.b * o.b * mm,
-            self.a * o.b + self.b * o.a,
-            self.c * o.c,
-            m,
-        )
+        a, b, c, m = p
+        m = common_field(self.m, m)
+        return QuadExt(self.a * a + self.b * b * (m or 0), self.a * b + self.b * a, self.c * c, m)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> QuadExt:
-        if self.sign() == 0:
-            raise ZeroDivisionError("division by zero")
-        if self.b == 0:
-            return QuadExt(self.c, 0, self.a)
-        # 1/x = c*(a - b*sqrt(m)) / (a^2 - b^2 m)
-        norm = self.a * self.a - self.b * self.b * self.m
-        return QuadExt(self.a * self.c, -self.b * self.c, norm, self.m)
-
     def __truediv__(self, other):
-        if isinstance(other, int) and other:
-            return QuadExt(self.a, self.b, self.c * other, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        return self * o._inverse()
+        return _quotient(self.a, self.b, self.c, self.m, *p)
 
     def __rtruediv__(self, other):
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        return o * self._inverse()
+        return _quotient(*p, self.a, self.b, self.c, self.m)
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.b == 0 and self.c == 1 and self.a == other
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.m) == (o.a, o.b, o.c, o.m)
+        return (self.a, self.b, self.c, self.m) == p
 
     def __hash__(self):
         if self.b == 0:
@@ -253,13 +236,11 @@ class QuadExt:
     def _cmp(self, other) -> int | None:
         # sign of self - other, both denominators positive; None when other
         # is no field element
-        if isinstance(other, int):
-            return surd_sign(self.a - other * self.c, self.b, self.m)
-        o = self.coerce(other)
-        if o is None:
+        p = operand_parts(other)
+        if p is None:
             return None
-        m = common_field(self, o)
-        return surd_sign(self.a * o.c - o.a * self.c, self.b * o.c - o.b * self.c, m)
+        a, b, c, m = p
+        return surd_sign(self.a * c - a * self.c, self.b * c - b * self.c, common_field(self.m, m))
 
     def __lt__(self, other):
         s = self._cmp(other)
@@ -295,23 +276,16 @@ class QuadExt:
     def parse(cls, text: str) -> QuadExt:
         """Inverse of str() on canonical forms; also accepts non-canonical
         input such as sqrt(12) or unreduced fractions and normalizes it."""
-        s = text.strip()
-        mt = _RAT_RE.match(s)
-        if mt:
-            den = int(mt.group(2)) if mt.group(2) else 1
-            if den == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-            return cls(int(mt.group(1)), 0, den)
-        mt = _FULL_RE.match(s)
-        if mt:
-            a = int(mt.group(1))
-            b = int(mt.group(3)) * (1 if mt.group(2) == "+" else -1)
-            n = int(mt.group(4))
-            den = int(mt.group(5)) if mt.group(5) else 1
-            if den == 0:
-                raise ParseError(f"zero denominator in {text!r}")
-            return cls.from_radicand(a, b, den, n)
-        raise ParseError(f"not a field element: {text!r}")
+        mt = _PARSE_RE.match(text.strip())
+        if mt is None:
+            raise ParseError(f"not a field element: {text!r}")
+        rat, a, sign, b, n, den = mt.groups()
+        c = int(den or 1)
+        if c == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        if rat is not None:
+            return cls(int(rat), 0, c)
+        return cls.from_radicand(int(a), int(b) if sign == "+" else -int(b), c, int(n))
 
 
 ZERO = QuadExt(0)

@@ -160,6 +160,8 @@ class BinaryMorphism:
         if isinstance(w, str):
             return "".join(map(image, w))
         if isinstance(w, PrefixStream):
+            if not (self.image0 or self.image1):
+                raise DomainError("an erasing morphism maps every stream to the empty word")
             return PrefixStream("".join(map(image, block)) for block in w.blocks())
         raise TypeError(f"cannot apply a morphism to {type(w).__name__}")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DomainError
-from .exactfield import QuadExt, common_field, surd_floor, surd_sign
+from .exactfield import QuadExt, common_field, operand_parts, surd_floor, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
@@ -79,10 +79,11 @@ class PrefixStream:
 
 
 def _as_field(x) -> QuadExt:
-    v = QuadExt.coerce(x)
-    if v is None:
+    p = operand_parts(x)
+    if p is None:
         raise TypeError(f"expected a field element, got {type(x).__name__}")
-    return v
+    # a QuadExt passes as it is: rebuilding it would repeat its canonical form
+    return x if isinstance(x, QuadExt) else QuadExt(*p)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class ParamVector:
             raise ValueError(f"boundary must be {LOWER!r} or {UPPER!r}")
         # l0 + l1 is rational for every params_of output, so the range test
         # below would let a rho from another field through
-        m = common_field(self.rho, self.l0, self.l1)
+        m = common_field(common_field(self.rho.m, self.l0.m), self.l1.m)
         den = math.lcm(self.l0.c, self.l1.c, self.rho.c)
         pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (self.l0, self.l1, self.rho)]
         (l0a, l0b), (l1a, l1b), (xa, xb) = pairs

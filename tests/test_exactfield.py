@@ -208,8 +208,15 @@ def test_parse_examples():
     assert QuadExt.parse("(0+1*sqrt(12))/2") == QuadExt(0, 1, 1, 3)
     assert QuadExt.parse("-7") == QuadExt(-7)
     assert QuadExt.parse("3/6") == HALF
-    for bad in ("sqrt(2)", "(1+sqrt(2))/2", "1 + 2", "(1+1*sqrt(2))/0", ""):
-        with pytest.raises(ParseError):
+    assert QuadExt.parse("(1+1*sqrt(2))") == QuadExt(1, 1, 1, 2)
+    assert QuadExt.parse("007/014") == HALF
+    assert QuadExt.parse("(1+1*sqrt(9))/2") == QuadExt(2)
+    for bad in ("(1+1*sqrt(2))/0", "-3/0"):
+        with pytest.raises(ParseError, match="^zero denominator in "):
+            QuadExt.parse(bad)
+    for bad in ("sqrt(2)", "(1+sqrt(2))/2", "1 + 2", "", "1/2/3", "(1+1*sqrt(2))/",
+                "+1", "1/-2", "(1 + 1*sqrt(2))"):
+        with pytest.raises(ParseError, match="^not a field element: "):
             QuadExt.parse(bad)
 
 
@@ -241,21 +248,30 @@ def test_ordering_matches_oracle_sign_of_difference(pair):
     assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
 
 
-@given(values | rationals, st.integers(-60, 60))
-def test_int_operands_equal_their_quadext(x, n):
-    # an int operand takes a path that builds no QuadExt for it
-    q = QuadExt(n)
-    for op in (operator.add, operator.sub, operator.mul):
-        for got, want in ((op(x, n), op(x, q)), (op(n, x), op(q, x))):
-            assert (got.a, got.b, got.c, got.m) == (want.a, want.b, want.c, want.m)
-            assert hash(got) == hash(want)
-    if n:
-        got, want = x / n, x / q
-        assert (got.a, got.b, got.c, got.m) == (want.a, want.b, want.c, want.m)
-    for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
-        assert op(x, n) == op(x, q) and op(n, x) == op(q, x)
-    if x == n:
-        assert hash(x) == hash(n) == hash(q)
+@given(values | rationals, st.integers(-60, 60), st.integers(1, 12))
+def test_int_operands_equal_their_quadext(x, n, d):
+    # an int or Fraction operand r goes through the same formula on parts as
+    # the QuadExt of equal value, in both operand orders
+    for r in (n, Fraction(n, d)):
+        q = QuadExt(r.numerator, 0, r.denominator)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for args, qargs in (((x, r), (x, q)), ((r, x), (q, x))):
+                if op is operator.truediv and qargs[1] == 0:
+                    continue
+                got, want = op(*args), op(*qargs)
+                assert (got.a, got.b, got.c, got.m) == (want.a, want.b, want.c, want.m)
+                assert hash(got) == hash(want)
+        for op in (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge):
+            assert op(x, r) == op(x, q) and op(r, x) == op(q, x)
+        if x == r:
+            assert hash(x) == hash(r) == hash(q)
+    for zero in (0, Fraction(0), ZERO):
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            x / zero
+    if x == 0:
+        for r in (n, Fraction(n, d), QuadExt(n)):
+            with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+                r / x
 
 
 def test_mixed_field_comparison_names_both_fields():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -122,6 +126,30 @@ def test_apply_stream_is_lazy_and_consistent():
     out = phi.apply(src)
     assert out.prefix(14) == phi.apply(src.prefix(4))[:14]
     assert out.prefix(7) == phi.apply("10")
+
+
+def test_erasing_morphism_on_a_stream_returns_within_2_s():
+    # a child process, so that a morphism reading empty blocks forever is
+    # killed at the timeout instead of holding the test run
+    child = (
+        "from sturmrep.dynamics import fixed_point_stream\n"
+        "from sturmrep.errors import DomainError\n"
+        "from sturmrep.morphisms import BinaryMorphism, parse_genword\n"
+        "s = fixed_point_stream(parse_genword('DGG'))\n"
+        "print(BinaryMorphism('', '1').apply(s).prefix(5))\n"
+        "try:\n"
+        "    BinaryMorphism('', '').apply(s).prefix(1)\n"
+        "except DomainError as e:\n"
+        "    print('DomainError:', e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=2
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        "11111\nDomainError: an erasing morphism maps every stream to the empty word\n"
+    )
 
 
 def test_morphism_text_round_trip():
