@@ -19,15 +19,19 @@ from .errors import FieldMismatchError, ParseError
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 0 as f*f*m with m square-free; returns (f, m).
 
-    Trial division; fine for the magnitudes that traces of generator-matrix
-    products reach.
+    Trial division by d while d**3 is at most the cofactor left over.  When
+    the loop stops, no prime below d divides the cofactor and d**3 exceeds
+    it, so the cofactor has at most two prime factors: it is 1, a prime p,
+    a product p*q of distinct primes, or p*p.  One isqrt tells p*p apart.
+    The cost is about n**(1/3) divisions, still exponential in the bit size
+    of n.
     """
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
         return 0, 1
     f, m, d = 1, 1, 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -37,6 +41,9 @@ def square_free_split(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1 if d == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return f * r, m
     return f, m * n
 
 

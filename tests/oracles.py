@@ -2,7 +2,8 @@
 
 Everything here is deliberately written without the package's own
 arithmetic: floors come from raw integer comparisons, sequences from the
-defining formulas, squares from naive string scans.
+defining formulas, squares from naive string scans, square-free parts from
+sympy's factorization.
 """
 
 from itertools import repeat
@@ -39,6 +40,20 @@ def surd_floor(a: int, b: int, m: int, c: int) -> int:
     while surd_sign(a - k * c, b, m) < 0:
         k -= 1
     return k
+
+
+def square_free_oracle(n: int) -> tuple[int, int]:
+    """(f, m) with n = f*f*m and m square-free for n >= 1, read off the
+    prime factorization of n."""
+    # imported here: the benchmark's reference checks import this module,
+    # and sympy would add about 0.3 s and 30 MB to each run's start
+    from sympy import factorint
+
+    f = m = 1
+    for p, e in factorint(n).items():
+        f *= p ** (e // 2)
+        m *= p ** (e % 2)
+    return f, m
 
 
 def mechanical_oracle(alpha, delta, m: int, n: int, kind: str = "lower") -> str:

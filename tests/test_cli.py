@@ -8,6 +8,8 @@ from pathlib import Path
 from sturmrep.cli import run
 from sturmrep.morphisms import G
 
+from oracles import mechanical_oracle
+
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
@@ -141,6 +143,20 @@ def test_generate():
     )
     assert code == 0
     assert len(out.strip()) == 10
+
+
+def test_generate_with_a_61_bit_prime_radicand():
+    # parsing factors the prime radicand 2^61-1: trial division to its
+    # square root is about 7.6e8 divisions, to its cube root about 6.6e5
+    m = 2**61 - 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "sturmrep.cli", "generate",
+         "--slope", f"(0+1*sqrt({m}))/{2**31}", "--intercept", "0", "--length", "10"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == mechanical_oracle((0, 1, 2**31), (0, 0, 1), m, 10) + "\n"
 
 
 def test_fixed_point():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 import sturmrep
 from sturmrep.dynamics import (
@@ -33,7 +34,7 @@ from sturmrep.words import (
     iet_stream,
 )
 
-from oracles import fixed_point_by_iteration
+from oracles import fixed_point_by_iteration, square_free_oracle
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 DG2 = parse_genword("DGG")
@@ -262,3 +263,19 @@ def test_eigen_data_for_large_traces():
     v = eigen.vector
     image = rep(word).apply((v.l0, v.l1, v.rho))
     assert image == (eigen.eigenvalue * v.l0, eigen.eigenvalue * v.l1, eigen.eigenvalue * v.rho)
+
+
+def test_eigen_field_and_value_against_sympy():
+    # 60-80 letters give traces of 35-50 bits; p^2-4 is factored by sympy
+    rng = random.Random(23)
+    for _ in range(10):
+        word = _random_word(rng, lo=60, hi=80)
+        p = rep(word).block().trace()
+        assert 35 <= p.bit_length() <= 50
+        eigen = dominant_eigen(word)
+        f, m = square_free_oracle(p * p - 4)
+        assert eigen.field == m
+        # f*sqrt(m) is sqrt(p^2-4), with m square-free so sympy keeps it whole
+        lam = eigen.eigenvalue
+        got = (lam.a + lam.b * sympy.sqrt(lam.m)) / lam.c
+        assert sympy.expand(got - (p + f * sympy.sqrt(m)) / 2) == 0

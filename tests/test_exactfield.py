@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import integer_nthroot, nextprime, prevprime
 
 from sturmrep.errors import DomainError, FieldMismatchError, ParseError
 from sturmrep import exactfield
 from sturmrep.exactfield import HALF, ONE, ZERO, QuadExt, square_free_split
 from sturmrep.words import SlopeIntercept
 
-from oracles import surd_floor, surd_sign
+from oracles import square_free_oracle, surd_floor, surd_sign
 
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 19)
 
@@ -195,6 +196,47 @@ def test_square_free_split(n):
     while d * d <= m:
         assert m % (d * d) != 0
         d += 1
+
+
+def primes_around(x):
+    """The prime below x, the least prime >= x and the prime above x."""
+    return prevprime(x), nextprime(x - 1), nextprime(x)
+
+
+def boundary_cases(bits):
+    """n of about `bits` bits whose primes sit at the cube-root and
+    square-root bounds of n, where the trial division stops."""
+    n = 1 << bits
+    cube, root = integer_nthroot(n, 3)[0], math.isqrt(n)
+    for p in primes_around(cube):
+        yield p * p
+        yield p * p * p
+        yield p * nextprime(n // p)
+        yield p * prevprime(n // p)
+        q = nextprime(p)
+        yield p * p * q
+        yield q * q * p
+        yield p * q * nextprime(q)
+        yield p * p * prevprime(n // (p * p))
+    for p in primes_around(root):
+        yield p * p
+        yield p * nextprime(p)
+        yield p * prevprime(p)
+    for k in (1, 5, 12):
+        for x in (math.isqrt(n >> k), integer_nthroot(n >> k, 3)[0]):
+            for p in primes_around(x):
+                yield (p * p) << k
+
+
+@pytest.mark.parametrize("bits", [24, 36, 48])
+def test_square_free_split_at_the_cube_root_bound(bits):
+    for n in boundary_cases(bits):
+        assert square_free_split(n) == square_free_oracle(n), n
+
+
+@given(st.integers(1, 2**40))
+def test_square_free_split_matches_factorization(n):
+    assert square_free_split(n) == square_free_oracle(n)
 
 
 @given(values | rationals)
