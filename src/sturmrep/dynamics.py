@@ -8,10 +8,9 @@ to l0 + l1 = 1 so that rho coincides with the intercept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NotPrimitiveError
-from .exactfield import QuadExt, square_free_split
+from .exactfield import QuadExt, _Value, square_free_split
 from .morphisms import (
     BinaryMorphism,
     D,
@@ -33,14 +32,11 @@ def image_params(word: GenWord, v: ParamVector) -> ParamVector:
     return ParamVector(x, y, z, v.boundary)
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(_Value):
     """Dominant eigenvalue (a quadratic unit > 1), the eigenvector scaled to
     l0 + l1 = 1, and the square-free radicand of their field."""
 
-    eigenvalue: QuadExt
-    vector: ParamVector
-    field: int
+    __slots__ = _fields = ("eigenvalue", "vector", "field")
 
 
 def dominant_eigen(word: GenWord) -> EigenData:
@@ -133,13 +129,8 @@ def dekking_mirror(word: GenWord) -> GenWord:
     return tuple(table[g] for g in word)
 
 
-@dataclass(frozen=True)
-class YasutomiReport:
-    ok: bool
-    same_field: bool
-    conjugate_in_bounds: bool
-    alpha: QuadExt
-    delta: QuadExt
+class YasutomiReport(_Value):
+    __slots__ = _fields = ("ok", "same_field", "conjugate_in_bounds", "alpha", "delta")
 
     def __bool__(self) -> bool:
         return self.ok

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import FieldMismatchError, ParseError
 
@@ -115,11 +116,51 @@ def _quotient(a1, b1, c1, m1, a2, b2, c2, m2) -> QuadExt:
 _PARSE_RE = re.compile(r"^(?:(-?\d+)|\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\))(?:/(\d+))?$")
 
 
-class QuadExt:
+class _Value:
+    """Immutable value over the fields named in _fields, which a subclass
+    also lists as slots: equal only to a value of the same class with equal
+    fields, hashed and pickled by them, shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the key of equality and hash: the one field's value or a tuple
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values):
+        # the fields in order, unchecked; a class with checks writes its own
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class QuadExt(_Value):
     """Canonical (a + b*sqrt(m))/c: gcd(a,b,c) = 1, c > 0, and m is a
     square-free integer >= 2 present exactly when b != 0."""
 
-    __slots__ = ("a", "b", "c", "m")
+    __slots__ = _fields = ("a", "b", "c", "m")
 
     def __init__(self, a: int, b: int = 0, c: int = 1, m: int | None = None):
         if c == 0:
@@ -137,9 +178,6 @@ class QuadExt:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     # -- construction -----------------------------------------------------
 

@@ -9,11 +9,10 @@ for the tilded variants, e.g. "G'D'G".
 from __future__ import annotations
 
 import enum
-import json
 import re
-from dataclasses import dataclass
 
 from .errors import CyclicMorphismError, DomainError, ParseError
+from .exactfield import _Value
 from .words import PrefixStream
 
 
@@ -69,14 +68,10 @@ def power(x, k: int, one):
         x = x * x
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Value):
     """2x2 integer matrix (a b; c d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -119,6 +114,8 @@ class Mat2:
 
 
 def parse_int_rows(text: str, size: int) -> list[list[int]]:
+    import json  # here, so that only a matrix argument loads json
+
     try:
         rows = json.loads(text.strip())
     except json.JSONDecodeError as exc:
@@ -141,16 +138,16 @@ def parse_int_rows(text: str, size: int) -> list[list[int]]:
 _MORPHISM_RE = re.compile(r"^0->([01]*),1->([01]*)$")
 
 
-@dataclass(frozen=True)
-class BinaryMorphism:
+class BinaryMorphism(_Value):
     """Substitution on {0,1} given by the images of the two letters."""
 
-    image0: str
-    image1: str
+    __slots__ = _fields = ("image0", "image1")
 
-    def __post_init__(self):
-        if set(self.image0 + self.image1) - {"0", "1"}:
+    def __init__(self, image0: str, image1: str):
+        if set(image0 + image1) - {"0", "1"}:
             raise ValueError("images must be binary words")
+        object.__setattr__(self, "image0", image0)
+        object.__setattr__(self, "image1", image1)
 
     def apply(self, w):
         """Image of a finite word (str in, str out) or of a stream

@@ -13,25 +13,22 @@ generator words by Euclid's algorithm on the block rows.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .errors import DomainError, MembershipError
+from .exactfield import _Value
 from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, parse_int_rows, power
 
 Rows = tuple[tuple[int, int, int], ...]
 
 
-@dataclass(frozen=True)
-class Mat3:
+class Mat3(_Value):
     """3x3 integer matrix as immutable rows."""
 
-    rows: Rows
+    __slots__ = _fields = ("rows",)
 
-    def __post_init__(self):
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __init__(self, rows: Rows):
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need 3x3 rows")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
 
     @classmethod
     def identity(cls) -> Mat3:
@@ -102,7 +99,7 @@ class Mat3:
         )
 
     def __str__(self) -> str:
-        return json.dumps([list(r) for r in self.rows], separators=(",", ":"))
+        return "[" + ",".join(f"[{a},{b},{c}]" for a, b, c in self.rows) + "]"
 
     @classmethod
     def parse(cls, text: str) -> Mat3:
@@ -180,10 +177,12 @@ def cone_contains(cone: str, vec) -> bool:
 # -- membership ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Membership:
-    ok: bool
-    certificate: str | None = None
+class Membership(_Value):
+    __slots__ = _fields = ("ok", "certificate")
+
+    def __init__(self, ok: bool, certificate: str | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "certificate", certificate)
 
     def __bool__(self) -> bool:
         return self.ok

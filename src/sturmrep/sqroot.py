@@ -17,11 +17,11 @@ from a small power of the representation matrix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotCharacteristicError, NotPrimitiveError, ScanBoundError
-from .morphisms import BinaryMorphism, GenWord, compose, format_genword
+from .exactfield import _Value
+from .morphisms import GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
 from .words import ParamVector, PrefixStream, iet_stream
 
@@ -76,12 +76,11 @@ def square_root_stream(stream: PrefixStream) -> PrefixStream:
     return iet_stream(ParamVector(v.l0, v.l1, (v.rho + v.l0) / 2, v.boundary))
 
 
-@dataclass(frozen=True)
-class SquareDecomposition:
+class SquareDecomposition(_Value):
     """Leading blocks of the greedy decomposition; each root's square is
     the shortest square prefix of the remaining sequence."""
 
-    roots: tuple[str, ...]
+    __slots__ = _fields = ("roots",)
 
     def __str__(self) -> str:
         return " ".join(f"{w}^2" for w in self.roots)
@@ -94,15 +93,12 @@ def square_decomposition(
     return SquareDecomposition(tuple(next(it) for _ in range(blocks)))
 
 
-@dataclass(frozen=True)
-class SqrtMorphism:
+class SqrtMorphism(_Value):
     """Fixing morphism of the square root: psi fixes the root stream of the
     fixed point, equals a conjugate of the k-th power of the input morphism,
     and has palindromic images of odd length."""
 
-    morphism: BinaryMorphism
-    power: int
-    genword: GenWord
+    __slots__ = _fields = ("morphism", "power", "genword")
 
     def __str__(self) -> str:
         return (

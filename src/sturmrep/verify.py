@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .dynamics import (
@@ -27,7 +26,7 @@ from .dynamics import (
     params_of,
     yasutomi_check,
 )
-from .exactfield import QuadExt
+from .exactfield import QuadExt, _Value
 from .morphisms import (
     D,
     DT,
@@ -74,11 +73,8 @@ LETTERS = 2000
 FIXED_POINT_LETTERS = 5000
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    ok: bool
-    details: str
+class SuiteResult(_Value):
+    __slots__ = _fields = ("name", "ok", "details")
 
     def line(self) -> str:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}: {self.details}"

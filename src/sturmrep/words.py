@@ -15,11 +15,10 @@ parameter vector (1-alpha, alpha, delta), see params_of.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import DomainError
-from .exactfield import QuadExt, common_field, operand_parts, surd_floor, surd_sign
+from .exactfield import QuadExt, _Value, common_field, operand_parts, surd_floor, surd_sign
 
 LOWER = "lower"
 UPPER = "upper"
@@ -86,63 +85,61 @@ def _as_field(x) -> QuadExt:
     return x if isinstance(x, QuadExt) else QuadExt(*p)
 
 
-@dataclass(frozen=True)
-class SlopeIntercept:
+class SlopeIntercept(_Value):
     """Slope alpha in (0,1), irrational; intercept delta in [0,1) for the
     lower sequence, [0,1] for the upper one."""
 
-    alpha: QuadExt
-    delta: QuadExt
-    kind: str = LOWER
+    __slots__ = _fields = ("alpha", "delta", "kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_field(self.alpha))
-        object.__setattr__(self, "delta", _as_field(self.delta))
-        if self.kind not in (LOWER, UPPER):
+    def __init__(self, alpha: QuadExt, delta: QuadExt, kind: str = LOWER):
+        alpha, delta = _as_field(alpha), _as_field(delta)
+        if kind not in (LOWER, UPPER):
             raise ValueError(f"kind must be {LOWER!r} or {UPPER!r}")
-        if self.alpha.is_rational:
+        if alpha.is_rational:
             raise DomainError("rational slope generates a periodic sequence")
-        if not (0 < self.alpha < 1):
+        if not (0 < alpha < 1):
             raise DomainError("slope must lie in (0,1)")
-        hi_ok = self.delta <= 1 if self.kind == UPPER else self.delta < 1
-        if not (0 <= self.delta and hi_ok):
+        hi_ok = delta <= 1 if kind == UPPER else delta < 1
+        if not (0 <= delta and hi_ok):
             raise DomainError("intercept out of range")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class ParamVector:
+class ParamVector(_Value):
     """Interval lengths l0, l1 > 0 and starting point rho of a 2iet orbit.
 
     lower coding uses [0,l0) and [l0,l0+l1), so 0 <= rho < l0+l1;
     upper coding uses (0,l0] and (l0,l0+l1], so 0 < rho <= l0+l1.
     pairs is (m, l0, l1, rho) with each value an integer pair (a, b) for
     (a + b*sqrt(m))/den over one common denominator den, which the checks
-    here and the 2iet engine share.
+    here and the 2iet engine share; derived from the fields, it is none.
     """
 
-    l0: QuadExt
-    l1: QuadExt
-    rho: QuadExt
-    boundary: str = LOWER
-    pairs: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("l0", "l1", "rho", "boundary")
+    __slots__ = (*_fields, "pairs")
 
-    def __post_init__(self):
-        for name in ("l0", "l1", "rho"):
-            object.__setattr__(self, name, _as_field(getattr(self, name)))
-        if self.boundary not in (LOWER, UPPER):
+    def __init__(self, l0: QuadExt, l1: QuadExt, rho: QuadExt, boundary: str = LOWER):
+        l0, l1, rho = _as_field(l0), _as_field(l1), _as_field(rho)
+        if boundary not in (LOWER, UPPER):
             raise ValueError(f"boundary must be {LOWER!r} or {UPPER!r}")
         # l0 + l1 is rational for every params_of output, so the range test
         # below would let a rho from another field through
-        m = common_field(common_field(self.rho.m, self.l0.m), self.l1.m)
-        den = math.lcm(self.l0.c, self.l1.c, self.rho.c)
-        pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (self.l0, self.l1, self.rho)]
+        m = common_field(common_field(rho.m, l0.m), l1.m)
+        den = math.lcm(l0.c, l1.c, rho.c)
+        pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, rho)]
         (l0a, l0b), (l1a, l1b), (xa, xb) = pairs
         if surd_sign(l0a, l0b, m) <= 0 or surd_sign(l1a, l1b, m) <= 0:
             raise DomainError("interval lengths must be positive")
         # 0 <= x < l0+l1, or 0 < x <= l0+l1 for the upper kind
-        upper = self.boundary == UPPER
+        upper = boundary == UPPER
         if surd_sign(xa, xb, m) < upper or surd_sign(xa - l0a - l1a, xb - l0b - l1b, m) >= upper:
             raise DomainError("starting point outside the exchanged intervals")
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "pairs", (m, *pairs))
 
 

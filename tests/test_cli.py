@@ -1,4 +1,6 @@
+import contextlib
 import io
+import json
 import os
 import shlex
 import subprocess
@@ -12,6 +14,7 @@ from oracles import mechanical_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+TRANSCRIPT = Path(__file__).resolve().parent / "cli_transcript.json"
 
 
 def capture(argv):
@@ -245,6 +248,55 @@ def test_only_verify_loads_the_suites():
         [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "0->10,1->10101\n0 False\n", "")
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_json():
+    # -S: no site hooks, so only the package's own imports count
+    child = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import sturmrep\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sturmrep.')))\n"
+        "import sturmrep.cli\n"
+        "print([m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
+        "print(len(sturmrep.__all__))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", child], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    eager = sorted(
+        f"sturmrep.{path.stem}"
+        for path in (ROOT / "src" / "sturmrep").glob("*.py")
+        if path.stem not in ("__init__", "cli", "verify")
+    )
+    # the package imports every module but the entry point and the suites
+    # eagerly, and its 67 public names leave out the private value base
+    assert done.stdout.splitlines() == [str(eager), "[]", "67"]
+
+
+def record(argv, monkeypatch):
+    """(exit code, stdout, stderr) of one in-process CLI run; usage text
+    wraps at a fixed width."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_transcript_replays_byte_identical(monkeypatch):
+    # recorded before the value classes left dataclasses; see record()
+    entries = json.loads(TRANSCRIPT.read_text())
+    assert {e["argv"][0] for e in entries if e["argv"]} == {
+        "compose", "apply", "rep", "decompose", "membership", "fixed-point", "generate",
+        "conjugates", "sqrt", "sqrt-morphism", "verify"}
+    assert {e["exit"] for e in entries} == {0, 1, 2}
+    changed = [
+        e["argv"] for e in entries
+        if record(e["argv"], monkeypatch) != (e["exit"], e["stdout"], e["stderr"])
+    ]
+    assert changed == []
 
 
 def test_help_per_subcommand(capsys):
