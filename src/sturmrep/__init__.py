@@ -1,14 +1,13 @@
 """Exact arithmetic for Sturmian morphisms and their faithful 3x3 matrix
 representation: compose and factor morphisms, decide matrix membership,
 compute fixed-point parameters, enumerate conjugates, and build the
-morphism fixing the square root of a characteristic fixed point."""
+morphism fixing the square root of a primitive morphism's fixed point."""
 
 from .errors import (
     CyclicMorphismError,
     DomainError,
     FieldMismatchError,
     MembershipError,
-    NotCharacteristicError,
     NotPrimitiveError,
     ParseError,
     ScanBoundError,

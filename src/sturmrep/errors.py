@@ -35,10 +35,5 @@ class CyclicMorphismError(DomainError):
     pass
 
 
-class NotCharacteristicError(DomainError):
-    """Fixed point of the morphism is not characteristic; message names the
-    failed matrix identity."""
-
-
 class ScanBoundError(DomainError):
     """No square prefix found within the configured scan bound."""

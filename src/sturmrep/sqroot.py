@@ -9,9 +9,10 @@ streams, such as morphic images, and the blocks themselves come from one
 regex scan over one window of the stream's blocks: each root is one regex
 match, shortest root first, at the current position, and when the unread
 part of the window holds no square it grows to twice its length, up to
-twice the scan bound.  For the fixed point of a characteristic-fixing
-morphism the root stream is itself fixed by a palindromic morphism built
-from a small power of the representation matrix.
+twice the scan bound.  The fixed point of every primitive morphism phi of
+the monoid has a root stream fixed by a morphism of the monoid, the
+conjugate of phi^k by psi for some k <= 4; for a characteristic fixed
+point its images are palindromes of odd length.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .errors import NotCharacteristicError, NotPrimitiveError, ScanBoundError
+from .errors import NotPrimitiveError, ScanBoundError
 from .exactfield import _Value
 from .morphisms import GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
@@ -95,8 +96,9 @@ def square_decomposition(
 
 class SqrtMorphism(_Value):
     """Fixing morphism of the square root: psi fixes the root stream of the
-    fixed point, equals a conjugate of the k-th power of the input morphism,
-    and has palindromic images of odd length."""
+    fixed point and is the conjugate by the root map of the k-th power of
+    the input morphism, k <= 4.  Its images are palindromes of odd length
+    when the fixed point is characteristic."""
 
     __slots__ = _fields = ("morphism", "power", "genword")
 
@@ -109,43 +111,32 @@ class SqrtMorphism(_Value):
 
 
 def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
-    """Construct the morphism fixing the square root of the characteristic
-    fixed point of the given word.
+    """Construct the morphism fixing the square root of the fixed point of
+    the given primitive word.
 
-    The third row of the representation must be (C, D-1), the signature of
-    a characteristic fixed point.  Conjugating by the half-integer change
-    of basis turns the third row of the k-th power into
-    (1,1)(M^k - I)/2, kept as doubled integers until some k in {1,2,3}
-    makes both entries even; that power lies in the represented monoid and
-    decomposes into the generator word of psi.
+    The root map psi is the linear map with rows (1,0,0), (0,1,0),
+    (1/2,0,1/2), so psi(v) is an eigenvector of psi M^k psi^-1 whenever v
+    is one of M = rep(word).  That conjugate keeps the block of M^k and
+    has third row ((A+E-1)/2, (B+F)/2) in the entries of M^k; the least k
+    that makes the row integral gives a matrix of the monoid, and decompose
+    factors it into the generator word of psi (for a characteristic fixed
+    point, E = C and F = D-1, this is the row (1,1)(M^k - I)/2).  Modulo 2
+    the row moves by an affine map of (Z/2)^2, an element of
+    AGL(2,2) = S4, whose order is at most 4, so k <= 4.
     """
     matrix = rep(word)
-    block = matrix.block()
-    if not block.is_primitive():
+    if not matrix.block().is_primitive():
         raise NotPrimitiveError(
             f"{format_genword(word) or 'identity'} is not primitive"
         )
-    a, b, c, d, e, f = matrix.named()
-    if e != c:
-        raise NotCharacteristicError(f"fixed point not characteristic: E={e} != C={c}")
-    if f != d - 1:
-        raise NotCharacteristicError(
-            f"fixed point not characteristic: F={f} != D-1={d - 1}"
-        )
-    power = block
-    for k in (1, 2, 3):
+    power = matrix
+    for k in (1, 2, 3, 4):
+        a, b, c, d, e, f = power.named()
         # doubled third row of the conjugated power
-        t0 = power.a + power.c - 1
-        t1 = power.b + power.d - 1
+        t0, t1 = a + e - 1, b + f
         if t0 % 2 == 0 and t1 % 2 == 0:
-            lifted = Mat3(
-                (
-                    (power.a, power.b, 0),
-                    (power.c, power.d, 0),
-                    (t0 // 2, t1 // 2, 1),
-                )
-            )
+            lifted = Mat3(((a, b, 0), (c, d, 0), (t0 // 2, t1 // 2, 1)))
             genword = decompose(lifted)
             return SqrtMorphism(compose(genword), k, genword)
-        power = power * block
-    raise AssertionError("no integral power with k <= 3; unreachable for det 1")
+        power = power * matrix
+    raise AssertionError("no integral row with k <= 4; S4 has no larger order")

@@ -109,7 +109,7 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1
     # non-primitive fixed point
     assert capture(["fixed-point", "GG"])[0] == 1
-    assert capture(["sqrt-morphism", "G'D"])[0] == 1
+    assert capture(["sqrt-morphism", "GG"])[0] == 1
     capsys.readouterr()
     # slope and intercept from two fields, also when no letter is asked for
     for length in ("60", "0"):
@@ -205,6 +205,12 @@ def test_sqrt_morphism():
         "psi: 0->1010101,1->1010101101011010101",
         "k: 2",
     ]
+    # a fixed point that is not characteristic has a fixing morphism too
+    assert capture(["sqrt-morphism", "G'D"]) == (0, (
+        "psi: 0->100101001001010010100,1->1001010010100\n"
+        "k: 3\n"
+        "genword: G'DG'D'GD'\n"
+    ))
 
 
 def test_verify_deterministic():
@@ -271,8 +277,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         if path.stem not in ("__init__", "cli", "verify")
     )
     # the package imports every module but the entry point and the suites
-    # eagerly, and its 67 public names leave out the private value base
-    assert done.stdout.splitlines() == [str(eager), "[]", "67"]
+    # eagerly, and its 66 public names leave out the private value base
+    assert done.stdout.splitlines() == [str(eager), "[]", "66"]
 
 
 def record(argv, monkeypatch):
@@ -328,7 +334,7 @@ def readme_examples():
 
 def test_readme_examples_match_output():
     examples = readme_examples()
-    assert len(examples) == 10
+    assert len(examples) == 11
     for argv, expected, prefix in examples:
         code, out = capture(argv)
         assert code == 0, argv

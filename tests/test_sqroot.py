@@ -1,25 +1,24 @@
 import random
 import time
 import tracemalloc
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sturmrep import verify
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
-from sturmrep.errors import (
-    NotCharacteristicError,
-    NotPrimitiveError,
-    ScanBoundError,
-)
+from sturmrep.errors import NotPrimitiveError, ScanBoundError
 from sturmrep.exactfield import HALF, QuadExt
 from sturmrep.morphisms import (
     D,
+    DT,
     G,
+    GT,
     BinaryMorphism,
     Mat2,
     compose,
+    format_genword,
     parse_genword,
     rightmost_conjugate,
 )
@@ -43,10 +42,12 @@ from sturmrep.words import (
 
 from oracles import (
     fixed_point_by_iteration,
+    mat_mul_3,
     mechanical_letters_at,
     mechanical_oracle,
     naive_shortest_square_root,
     naive_square_roots,
+    rep_by_products,
     word_stream,
 )
 from test_words import fixed_point_vectors, iet_vectors
@@ -253,6 +254,16 @@ def test_sqrt_morphism_small_powers():
     assert sqrt_fixing_morphism(parse_genword("GGDD")).power == 1
     # M = [[1,1],[1,2]] mod 2 needs k = 3
     assert sqrt_fixing_morphism(parse_genword("DG")).power == 3
+    # fixed points that are not characteristic; k = 4 occurs only among them
+    for text, k, genword in (
+        ("G'D", 3, "G'DG'D'GD'"),
+        ("D'GG", 1, "D'GG'"),
+        ("DG'G", 4, "DG'GD'GGD'G'G'D'GG'"),
+    ):
+        result = sqrt_fixing_morphism(parse_genword(text))
+        assert (result.power, format_genword(result.genword)) == (k, genword)
+    # palindromic images are the characteristic case only
+    assert str(sqrt_fixing_morphism(parse_genword("D'GG")).morphism) == "0->01,1->01101"
 
 
 MOD2_TABLE = {
@@ -305,9 +316,46 @@ def test_mod2_classes_are_complete():
 def test_sqrt_morphism_rejections():
     with pytest.raises(NotPrimitiveError):
         sqrt_fixing_morphism(parse_genword("GG"))
-    with pytest.raises(NotCharacteristicError) as err:
-        sqrt_fixing_morphism(parse_genword("G'D"))
-    assert "E=" in str(err.value) or "F=" in str(err.value)
+    # a fixed point that is not characteristic (E=2, C=1) is no rejection
+    assert str(sqrt_fixing_morphism(parse_genword("G'D"))) == (
+        "psi: 0->100101001001010010100,1->1001010010100\n"
+        "k: 3\n"
+        "genword: G'DG'D'GD'"
+    )
+
+
+def _primitive(word) -> bool:
+    return bool({G, GT} & set(word)) and bool({D, DT} & set(word))
+
+
+def _conjugated_power(word):
+    """(k, rows) for the least k whose power of the word's matrix has an
+    integral third row after conjugation by the root map, from the oracle's
+    matrix products; rows is that conjugated power."""
+    matrix = rep_by_products([g.token for g in word])
+    power = matrix
+    for k in range(1, 25):
+        (a, b, _), (c, d, _), (e, f, _) = power
+        if (a + e - 1) % 2 == 0 and (b + f) % 2 == 0:
+            return k, ((a, b, 0), (c, d, 0), ((a + e - 1) // 2, (b + f) // 2, 1))
+        power = mat_mul_3(power, matrix)
+    raise AssertionError(f"no integral row up to k = 24: {format_genword(word)}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from((G, GT, D, DT)), min_size=2, max_size=8).filter(_primitive))
+def test_sqrt_morphism_of_every_primitive_word(word):
+    # the square-root theorem for any fixed point, characteristic or not
+    word = tuple(word)
+    result = sqrt_fixing_morphism(word)
+    k, rows = _conjugated_power(word)
+    assert 1 <= result.power <= 4
+    assert result.power == k
+    assert rep(result.genword).rows == rows
+    roots = square_root_stream(fixed_point_stream(word))
+    want = roots.prefix(1500)
+    assert result.morphism.apply(roots).prefix(1500) == want
+    assert PrefixStream(iter_square_roots(fixed_point_stream(word))).prefix(1500) == want
 
 
 def test_sqrt_theorem_properties_random():
@@ -357,15 +405,20 @@ def test_far_root_slice_seeks():
     assert got == mechanical_letters_at((0, 1, 3), (1, 0, 2), 3, LOWER, range(far, far + 64))
 
 
-def test_sqrt_morphism_eigenvector_is_half():
-    # dominant eigenvector of the fixing morphism is (1-alpha, alpha, 1/2)
-    rng = random.Random(41)
-    for _ in range(5):
-        while True:
-            word = tuple(rng.choice((G, D)) for _ in range(rng.randint(2, 6)))
-            if {G, D} <= set(word):
-                break
-        alpha = fixed_point_params(word).l1
-        result = sqrt_fixing_morphism(word)
-        v = fixed_point_params(result.genword)
-        assert (v.l0, v.l1, v.rho) == (1 - alpha, alpha, HALF)
+def test_sqrt_morphism_eigenvector_is_psi_of_the_vector():
+    # every primitive word of 2 to 5 generators: the fixing morphism's
+    # fixed point has psi(l0, l1, rho) = (l0, l1, (rho+l0)/2) of the word's
+    # fixed point.  Only the three values are compared: psi of an upper
+    # vector with rho = l0+l1 keeps the kind, but the new fixed point is
+    # lower
+    words = [
+        word
+        for n in range(2, 6)
+        for word in product((G, GT, D, DT), repeat=n)
+        if _primitive(word)
+    ]
+    assert len(words) == 1240
+    for word in words:
+        v = fixed_point_params(word)
+        w = fixed_point_params(sqrt_fixing_morphism(word).genword)
+        assert (w.l0, w.l1, w.rho) == (v.l0, v.l1, (v.rho + v.l0) / 2), word
