@@ -22,12 +22,7 @@ from .morphisms import (
     parse_genword,
 )
 from .representation import Mat3, check_membership, decompose, rep
-from .sqroot import (
-    DEFAULT_SCAN_BOUND,
-    square_decomposition,
-    square_root_stream,
-    sqrt_fixing_morphism,
-)
+from .sqroot import square_decomposition, square_root_stream, sqrt_fixing_morphism
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
 
 
@@ -84,9 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sqrt", help="square root of the fixed point of a word")
     p.add_argument("--genword", required=True)
     p.add_argument("--length", type=non_negative_int, default=80)
-    p.add_argument("--blocks", type=non_negative_int, default=0, help="print this many square blocks instead")
-    p.add_argument("--scan-bound", type=non_negative_int, default=DEFAULT_SCAN_BOUND,
-                   help="longest root the block scan of --blocks searches; --length reads no scan")
+    p.add_argument("--blocks", type=non_negative_int, default=0,
+                   help="print this many square blocks instead, with roots of any length")
 
     p = sub.add_parser("sqrt-morphism", help="morphism fixing the square root")
     p.add_argument("genword")
@@ -140,7 +134,7 @@ def _cmd(args, out) -> int:
     elif args.command == "sqrt":
         stream = fixed_point_stream(parse_genword(args.genword))
         if args.blocks > 0:
-            print(square_decomposition(stream, args.blocks, args.scan_bound), file=out)
+            print(square_decomposition(stream, args.blocks), file=out)
         else:
             print(square_root_stream(stream).prefix(args.length), file=out)
     elif args.command == "sqrt-morphism":

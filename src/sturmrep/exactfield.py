@@ -157,8 +157,9 @@ class _Value:
 
 
 class QuadExt(_Value):
-    """Canonical (a + b*sqrt(m))/c: gcd(a,b,c) = 1, c > 0, and m is a
-    square-free integer >= 2 present exactly when b != 0."""
+    """(a + b*sqrt(m))/c with gcd(a,b,c) = 1, c > 0 and m >= 2 a non-square,
+    present exactly when b != 0.  Only that is checked; equality, hashing
+    and arithmetic assume the square-free m that from_radicand and parse give."""
 
     __slots__ = _fields = ("a", "b", "c", "m")
 

@@ -8,16 +8,20 @@ the square root map of Peltomaki and Whiteland, so no scan runs.  Other
 streams, such as morphic images, and the blocks themselves come from one
 regex scan over one window of the stream's blocks: each root is one regex
 match, shortest root first, at the current position, and when the unread
-part of the window holds no square it grows to twice its length, up to
-twice the scan bound.  The fixed point of every primitive morphism phi of
-the monoid has a root stream fixed by a morphism of the monoid, the
-conjugate of phi^k by psi for some k <= 4; for a characteristic fixed
-point its images are palindromes of odd length.
+part of the window holds no square it grows to twice its length.  Every
+position of a Sturmian word begins one of the six minimal squares of its
+slope (Saari, Everywhere alpha-repetitive sequences and Sturmian words,
+2010), so only a stream without a parameter vector needs a scan bound.
+The fixed point of every primitive morphism phi of the monoid has a root
+stream fixed by a morphism of the monoid, the conjugate of phi^k by psi
+for some k <= 4; for a characteristic fixed point its images are
+palindromes of odd length.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterator
 
 from .errors import NotPrimitiveError, ScanBoundError
@@ -26,28 +30,29 @@ from .morphisms import GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
 from .words import ParamVector, PrefixStream, iet_stream
 
-# A cap on the scan's work, not a limit on valid roots: root lengths follow
-# the slope's partial quotients (slope [0; 309, 51, ...]: first root 15 760 letters).
+# Caps the scan of a stream without a vector: Thue-Morse has no square prefix.
 DEFAULT_SCAN_BOUND = 10_000
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
 
 
-def iter_square_roots(
-    stream: PrefixStream, scan_bound: int = DEFAULT_SCAN_BOUND
-) -> Iterator[str]:
+def iter_square_roots(stream: PrefixStream, scan_bound: int | None = None) -> Iterator[str]:
     """Roots of the greedy square-block decomposition, in order.  Reads the
     stream through its buffer only, so the caller may keep using it.
 
-    A root longer than scan_bound raises ScanBoundError.  The bound caps
-    the work of one search; it says nothing of which roots are valid, as
-    root lengths follow the slope's partial quotients."""
+    A root longer than scan_bound raises ScanBoundError.  With no bound, a
+    stream with a parameter vector is uncapped (each of its positions
+    begins a square, Saari 2010) and any other is capped at
+    DEFAULT_SCAN_BOUND; a bound caps work, not which roots are valid."""
+    if scan_bound is None:
+        # no str holds more than sys.maxsize letters, so that bound caps nothing
+        scan_bound = DEFAULT_SCAN_BOUND if stream.params is None else sys.maxsize
     if scan_bound < 0:
         raise ValueError(f"scan_bound must be non-negative, got {scan_bound}")
     blocks = stream.blocks()
     window, pos = "", 0
     while True:
         # the lazy group tries roots shortest first, up to scan_bound letters
-        if square := _SQUARE.match(window, pos, pos + 2 * scan_bound):
+        if square := _SQUARE.match(window, pos, min(pos + 2 * scan_bound, len(window))):
             yield square[1]
             pos = square.end()
             continue
@@ -66,9 +71,9 @@ def iter_square_roots(
 
 def square_root_stream(stream: PrefixStream) -> PrefixStream:
     """Concatenation of the block roots as a lazy stream.  A 2iet stream
-    gives the 2iet stream of psi of its parameter vector; any other stream
-    is read by the scan at the default bound, a root per block (for longer
-    roots use PrefixStream(iter_square_roots(stream, bound)))."""
+    gives the 2iet stream of psi of its parameter vector, with no scan or
+    cap; any other stream is scanned at DEFAULT_SCAN_BOUND, a root per
+    block (for longer roots use PrefixStream(iter_square_roots(s, bound)))."""
     v = stream.params
     if v is None:
         return PrefixStream(iter_square_roots(stream))
@@ -87,10 +92,10 @@ class SquareDecomposition(_Value):
         return " ".join(f"{w}^2" for w in self.roots)
 
 
-def square_decomposition(
-    stream: PrefixStream, blocks: int, scan_bound: int = DEFAULT_SCAN_BOUND
-) -> SquareDecomposition:
-    it = iter_square_roots(stream, scan_bound)
+def square_decomposition(stream: PrefixStream, blocks: int) -> SquareDecomposition:
+    """The first blocks, uncapped for a stream with a parameter vector
+    (every position begins a square, Saari 2010); see iter_square_roots."""
+    it = iter_square_roots(stream)
     return SquareDecomposition(tuple(next(it) for _ in range(blocks)))
 
 

@@ -93,7 +93,6 @@ def test_parse_errors_exit_2(capsys):
         ["fixed-point", "DGG", "--length", "-3"],
         ["sqrt", "--genword", "DGG", "--length", "-3"],
         ["sqrt", "--genword", "DGG", "--blocks", "-2"],
-        ["sqrt", "--genword", "DGG", "--scan-bound", "-1"],
         ["verify", "--suite", "roundtrip", "--samples", "-1"],
     ):
         assert capture(argv) == (2, "")
@@ -186,16 +185,24 @@ def test_sqrt_and_blocks():
     assert code == 0 and out == "10^2 1^2 01^2 0110101^2\n"
 
 
-def test_scan_bound_limits_only_the_block_scan(capsys):
-    # the root stream of a fixed point comes from its parameter vector, so
-    # no bound applies to it; the blocks still come from the scan
-    code, out = capture(["sqrt", "--genword", "DGG", "--scan-bound", "1"])
-    assert (code, out) == (0, capture(["sqrt", "--genword", "DGG"])[1])
+def test_sqrt_blocks_have_no_scan_bound(capsys):
+    # every position of a Sturmian word begins a square, so the block scan
+    # of a fixed point is uncapped: these roots passed the old 10 000-letter
+    # default, and the option that set it is gone
+    word = "G'" * 12000 + "D" + "G" * 12000 + "D"
+    code, out = capture(["sqrt", "--genword", word, "--blocks", "3"])
+    assert code == 0
+    roots = [block.removesuffix("^2") for block in out.split()]
+    assert [len(root) for root in roots] == [12002] * 3
+    assert out == " ".join(f"{root}^2" for root in roots) + "\n"
+    capsys.readouterr()
+    assert capture(["sqrt", "--genword", "DGG", "--scan-bound", "1"]) == (2, "")
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --scan-bound 1\n")
+    # the root stream comes from the parameter vector and reads no scan
+    code, out = capture(["sqrt", "--genword", "DGG"])
+    assert code == 0
     assert out == (
         "10101011010110101011010101101010110101101010110101011010101101011010101101010110\n")
-    code, out = capture(["sqrt", "--genword", "DGG", "--blocks", "4", "--scan-bound", "1"])
-    assert (code, out) == (1, "")
-    assert capsys.readouterr().err == "error: no square prefix with root length <= 1\n"
 
 
 def test_sqrt_morphism():

@@ -331,6 +331,16 @@ def test_hash_consistency_with_rationals():
     assert len({QuadExt(1, 1, 2, 5), QuadExt(2, 2, 4, 5)}) == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_unreduced_radicand_equals_its_square_free_form():
+    # the constructor accepts any non-square radicand, but equality, hashing
+    # and the field join compare radicands as written
+    x, y = QuadExt(0, 1, 1, 8), QuadExt(0, 2, 1, 2)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert x + y == QuadExt(0, 4, 1, 2)
+
+
 
 def test_no_float_in_the_library():
     # every decision is exact: no float literal, no float() or round(), math

@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from itertools import chain, cycle, islice, product
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,7 +51,7 @@ from oracles import (
     rep_by_products,
     word_stream,
 )
-from test_words import fixed_point_vectors, iet_vectors
+from test_words import FIELDS, fixed_point_vectors, iet_vectors
 
 DG2 = parse_genword("DGG")
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
@@ -106,8 +107,72 @@ def test_scan_bound_caps_work_not_valid_roots():
         next(iter_square_roots(iet_stream(v), 15_759))
     root = next(iter_square_roots(iet_stream(v), 15_760))
     assert len(root) == 15_760 == 309 * 51 + 1
+    # with no bound given, a stream with a vector is scanned uncapped
+    assert next(iter_square_roots(iet_stream(v))) == root
     assert root == square_root_stream(iet_stream(v)).prefix(15_760)
     assert root == naive_shortest_square_root(iet_stream(v).prefix(2 * 15_760))
+
+
+def test_square_blocks_past_the_old_default_bound():
+    # G'^n D G^n D has roots of n+2 letters; n = 12000 failed at 10 000
+    word = parse_genword("G'" * 12000 + "D" + "G" * 12000 + "D")
+    dec = square_decomposition(fixed_point_stream(word), 3)
+    assert [len(w) for w in dec.roots] == [12_002] * 3
+    blocks = "".join(w + w for w in dec.roots)
+    assert blocks == fixed_point_stream(word).prefix(len(blocks))
+
+
+def _deep_slope(quotients: list[int], m: int) -> QuadExt:
+    """1/(a1 + 1/(a2 + ... + frac(sqrt(m)))) for quotients a1, a2, ..."""
+    x = QuadExt(-isqrt(m), 1, 1, m)
+    for a in reversed(quotients):
+        x = 1 / (a + x)
+    return x
+
+
+def test_uncapped_scan_is_linear_in_the_root():
+    # slope [0; 400, 500, ...] and rho = l0 start with a root of
+    # 400*500 + 1 letters; the doubling window reads a few times that
+    alpha = _deep_slope([400, 500], 2)
+    v = ParamVector(1 - alpha, alpha, 1 - alpha)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        root = next(iter_square_roots(iet_stream(v)))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 5_000_000
+    assert len(root) == 200_001
+    assert iet_stream(v).prefix(2 * len(root)) == root + root
+
+
+@st.composite
+def deep_quotient_vectors(draw):
+    """2iet vectors whose slope has partial quotients up to 300, so that
+    some roots pass 10^4 letters: slope 1/(a1 + 1/(a2 + 1/(a3 +
+    frac(sqrt(m))))) or one minus it, both kinds, rho on an interval end,
+    at l0 or at 1/2."""
+    quotients = draw(st.lists(st.integers(1, 300), min_size=3, max_size=3))
+    x = _deep_slope(quotients, draw(st.sampled_from(FIELDS)))
+    alpha = draw(st.sampled_from((x, 1 - x)))
+    kind = draw(st.sampled_from((LOWER, UPPER)))
+    end = QuadExt(1) if kind == UPPER else QuadExt(0)
+    return ParamVector(1 - alpha, alpha, draw(st.sampled_from((end, 1 - alpha, HALF))), kind)
+
+
+_DEEP = _deep_slope([119, 208, 264], 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_quotient_vectors())
+@example(ParamVector(_DEEP, 1 - _DEEP, _DEEP, UPPER))  # first root 119*208 + 1 letters
+def test_uncapped_scan_on_deep_quotients(v):
+    roots = list(islice(iter_square_roots(iet_stream(v)), 20))
+    assert roots == list(islice(iter_square_roots(iet_stream(v), 10**6), 20))
+    first = len(roots[0])
+    assert roots[0] == naive_shortest_square_root(iet_stream(v).prefix(2 * first))
 
 
 def test_negative_scan_bound_is_rejected():
