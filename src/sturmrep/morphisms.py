@@ -35,16 +35,20 @@ G, GT, D, DT = Generator.G, Generator.GT, Generator.D, Generator.DT
 GenWord = tuple[Generator, ...]
 
 _WORD_RE = re.compile(r"(?:[GD]'?)*")
-_TOKEN_RE = re.compile(r"[GD]'?")
-_BY_TOKEN = {g.value: g for g in Generator}
+# one character per generator once each prime has joined its letter
+_BY_CHAR = {"G": G, "g": GT, "D": D, "d": DT}
 
 
 def parse_genword(text: str) -> GenWord:
+    """Generators of the token text.  Valid text is G, D and primes, each
+    prime after a letter, so none is left once G' and D' are one letter."""
     s = text.strip()
-    end = _WORD_RE.match(s).end()
-    if end < len(s):
+    chars = s.replace("G'", "g").replace("D'", "d")
+    if s.strip("GD'") or "'" in chars:
+        # only the failure path runs the regex, to name the first bad token
+        end = _WORD_RE.match(s).end()
         raise ParseError(f"bad generator token at {s[end:]!r}")
-    return tuple(map(_BY_TOKEN.__getitem__, _TOKEN_RE.findall(s)))
+    return tuple(map(_BY_CHAR.__getitem__, chars))
 
 
 def format_genword(word: GenWord) -> str:
@@ -144,7 +148,7 @@ class BinaryMorphism(_Value):
     __slots__ = _fields = ("image0", "image1")
 
     def __init__(self, image0: str, image1: str):
-        if set(image0 + image1) - {"0", "1"}:
+        if (image0 + image1).strip("01"):
             raise ValueError("images must be binary words")
         object.__setattr__(self, "image0", image0)
         object.__setattr__(self, "image1", image1)

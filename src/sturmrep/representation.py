@@ -26,9 +26,11 @@ class Mat3(_Value):
     __slots__ = _fields = ("rows",)
 
     def __init__(self, rows: Rows):
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
-            raise ValueError("need 3x3 rows")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
+        try:
+            (a, b, c), (d, e, f), (g, h, i) = rows
+        except ValueError:
+            raise ValueError("need 3x3 rows") from None
+        object.__setattr__(self, "rows", ((a, b, c), (d, e, f), (g, h, i)))
 
     @classmethod
     def identity(cls) -> Mat3:
@@ -103,7 +105,7 @@ class Mat3(_Value):
 
     @classmethod
     def parse(cls, text: str) -> Mat3:
-        return cls(tuple(tuple(r) for r in parse_int_rows(text, 3)))
+        return cls(parse_int_rows(text, 3))
 
 
 # Generators per leaf of rep's product tree.  Column additions cost one
@@ -228,7 +230,9 @@ def decompose(matrix: Mat3) -> GenWord:
       C = 0        ->  G^(B-F) G'^F
       B = 0        ->  D'^(C-E) D^E
     Within a run G' precedes G and D precedes D', so the word is the one
-    that peeling a single generator at a time would give.
+    that peeling a single generator at a time would give.  Each minimum is
+    taken by comparisons: q = A//C is lowered to B//D when B < q*D, and i
+    is clamped the same way against E//C and F//D.
     """
     verdict = check_membership(matrix)
     if not verdict:
@@ -237,16 +241,36 @@ def decompose(matrix: Mat3) -> GenWord:
     a, b, c, d, e, f = matrix.named()
     while b and c:
         if a >= c and b >= d:
-            q = min(a // c, b // d)
-            i = min(q, e // c, f // d)
-            tokens += [GT] * i + [G] * (q - i)
-            a, b, e, f = a - q * c, b - q * d, e - i * c, f - i * d
+            q = a // c
+            if b < q * d:
+                q = b // d
+            i = q
+            if e < i * c:
+                i = e // c
+            if f < i * d:
+                i = f // d
+            tokens += [GT] * i
+            tokens += [G] * (q - i)
+            a -= q * c
+            b -= q * d
+            e -= i * c
+            f -= i * d
         else:
             assert a <= c and b <= d, "block dichotomy violated"
-            q = min(c // a, d // b)
-            i = min(q, e // a, f // b)
-            tokens += [D] * i + [DT] * (q - i)
-            c, d, e, f = c - q * a, d - q * b, e - i * a, f - i * b
+            q = c // a
+            if d < q * b:
+                q = d // b
+            i = q
+            if e < i * a:
+                i = e // a
+            if f < i * b:
+                i = f // b
+            tokens += [D] * i
+            tokens += [DT] * (q - i)
+            c -= q * a
+            d -= q * b
+            e -= i * a
+            f -= i * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
         tokens += [G] * (b - f)

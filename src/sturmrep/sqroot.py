@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Iterator
 
-from .errors import NotPrimitiveError, ScanBoundError
+from .errors import DomainError, NotPrimitiveError, ScanBoundError
 from .exactfield import _Value
 from .morphisms import GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
@@ -39,9 +39,10 @@ def iter_square_roots(stream: PrefixStream, scan_bound: int | None = None) -> It
     """Roots of the greedy square-block decomposition, in order.  Reads the
     stream through its buffer only, so the caller may keep using it.
 
-    A root longer than scan_bound raises ScanBoundError.  With no bound, a
-    stream with a parameter vector is uncapped (each of its positions
-    begins a square, Saari 2010) and any other is capped at
+    A root longer than scan_bound raises ScanBoundError, and a finite
+    stream that ends before a square prefix raises DomainError.  With no
+    bound, a stream with a parameter vector is uncapped (each of its
+    positions begins a square, Saari 2010) and any other is capped at
     DEFAULT_SCAN_BOUND; a bound caps work, not which roots are valid."""
     if scan_bound is None:
         # no str holds more than sys.maxsize letters, so that bound caps nothing
@@ -63,9 +64,11 @@ def iter_square_roots(stream: PrefixStream, scan_bound: int | None = None) -> It
         # matches of a long search cost about as much as its last one
         want = min(max(16, 2 * unread), 2 * scan_bound)
         parts = [window[pos:]]
-        while unread < want:
-            parts.append(next(blocks))
-            unread += len(parts[-1])
+        while unread < want and (block := next(blocks, "")):
+            parts.append(block)
+            unread += len(block)
+        if len(parts) == 1:
+            raise DomainError(f"the stream ends before a square prefix ({unread} letters unread)")
         window, pos = "".join(parts), 0
 
 

@@ -71,7 +71,10 @@ class PrefixStream:
         # letters it reads, not the whole buffer
         i = 0
         while True:
-            self._ensure(i + 1)
+            try:
+                self._ensure(i + 1)
+            except StopIteration:
+                return  # a finite source has ended, and its letters are handed on
             block = self._buffer[i : i + _BLOCK].decode()
             i += len(block)
             yield block

@@ -6,6 +6,7 @@ defining formulas, squares from naive string scans, square-free parts from
 sympy's factorization.
 """
 
+import re
 from itertools import repeat
 from math import isqrt
 
@@ -199,6 +200,25 @@ def compose_by_substitution(tokens) -> tuple[str, str]:
         image0, image1 = GENERATOR_IMAGES[token]
         x, y = substitute(image0, image1, x), substitute(image0, image1, y)
     return x, y
+
+
+_GENWORD_RE = re.compile(r"(?:[GD]'?)*")
+_TOKEN_RE = re.compile(r"[GD]'?")
+
+
+def parse_genword_by_regex(text: str) -> tuple:
+    """Generator word of the token text by two regexes: one match for the
+    longest valid prefix, whose end is the first bad token, then one
+    findall for the tokens, each looked up by its value."""
+    # imported here: no other oracle needs the package
+    from sturmrep.errors import ParseError
+    from sturmrep.morphisms import Generator
+
+    s = text.strip()
+    end = _GENWORD_RE.match(s).end()
+    if end < len(s):
+        raise ParseError(f"bad generator token at {s[end:]!r}")
+    return tuple(map(Generator, _TOKEN_RE.findall(s)))
 
 
 _SWAP_TOKENS = {"G": "D'", "G'": "D", "D": "G'", "D'": "G"}

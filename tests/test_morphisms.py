@@ -31,6 +31,7 @@ from oracles import (
     compose_by_substitution,
     conjugates_by_third_rows,
     fixed_point_by_iteration,
+    parse_genword_by_regex,
     substitute,
     word_stream,
 )
@@ -111,6 +112,32 @@ def test_genword_text_round_trip_on_long_words(word):
     assert parse_genword(f" {text}\n") == word
 
 
+@st.composite
+def genword_texts(draw):
+    """Text over the token characters, their lower-case look-alikes, a stray
+    letter and whitespace; or a long valid word, padded, with up to three
+    of those characters spliced in at one place."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="GD'gdX \t\n", max_size=30))
+    text = format_genword(draw(randomwords))
+    k = draw(st.integers(0, len(text)))
+    junk = draw(st.text(alphabet="GD'gdX \t\n", max_size=3))
+    pad = draw(st.text(alphabet=" \t\n", max_size=2))
+    return pad + text[:k] + junk + text[k:] + pad
+
+
+@given(genword_texts())
+def test_parse_genword_matches_regex_oracle(text):
+    try:
+        want = parse_genword_by_regex(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as info:
+            parse_genword(text)
+        assert str(info.value) == str(err)
+    else:
+        assert parse_genword(text) == want
+
+
 def test_apply():
     phi = BinaryMorphism("10", "10101")
     assert phi.apply("10") == "10101" + "10" == "1010110"
@@ -158,6 +185,19 @@ def test_morphism_text_round_trip():
     assert str(phi) == "0->10,1->10101"
     with pytest.raises(ParseError):
         BinaryMorphism.parse("0:10,1:1")
+
+
+@pytest.mark.parametrize("bad", ["a01", "0a1", "01a", "2", "01\n", " 0", "0 1"])
+def test_morphism_images_must_be_binary_words(bad):
+    for images in ((bad, "1"), ("0", bad), (bad, bad)):
+        with pytest.raises(ValueError, match="images must be binary words"):
+            BinaryMorphism(*images)
+
+
+def test_empty_images_are_accepted():
+    assert str(BinaryMorphism("", "1")) == "0->,1->1"
+    assert str(BinaryMorphism("01", "")) == "0->01,1->"
+    assert str(BinaryMorphism("", "")) == "0->,1->"
 
 
 def test_incidence():

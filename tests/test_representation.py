@@ -237,6 +237,17 @@ def test_decompose_matches_peeling_oracle(w):
     assert rep(word) == matrix
 
 
+@settings(deadline=None)
+@given(longwords)
+def test_decompose_matches_peeling_oracle_on_long_words(w):
+    # random words take many Euclid steps with small quotients, as the
+    # factoring of a long product does; run words take a few large ones
+    matrix = rep(w)
+    word = decompose(matrix)
+    assert type(word) is tuple
+    assert [g.token for g in word] == decompose_by_peeling(matrix.rows)
+
+
 def test_faithfulness_small_scale():
     by_matrix = {}
     by_morphism = {}
@@ -279,6 +290,31 @@ def test_inverse_shape_errors():
     for rows in (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((2, 1, 0), (1, 2, 0), (0, 0, 1))):
         with pytest.raises(DomainError, match="no integer inverse"):
             Mat3(rows).inverse()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, 0, 0), (0, 1, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+        ((1, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1, 0)),
+    ],
+)
+def test_mat3_needs_3x3_rows(rows):
+    with pytest.raises(ValueError) as info:
+        Mat3(rows)
+    assert str(info.value) == "need 3x3 rows"
+
+
+def test_mat3_rows_as_lists_are_rows_as_tuples():
+    rows = ((1, 2, 0), (1, 3, 0), (1, 2, 1))
+    listed = Mat3([list(r) for r in rows])
+    assert listed == Mat3(rows)
+    assert hash(listed) == hash(Mat3(rows))
+    assert listed.rows == rows and all(type(r) is tuple for r in listed.rows)
 
 
 def test_det():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sturmrep import verify
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
-from sturmrep.errors import NotPrimitiveError, ScanBoundError
+from sturmrep.errors import DomainError, NotPrimitiveError, ScanBoundError
 from sturmrep.exactfield import HALF, QuadExt
 from sturmrep.morphisms import (
     D,
@@ -178,6 +178,24 @@ def test_uncapped_scan_on_deep_quotients(v):
 def test_negative_scan_bound_is_rejected():
     with pytest.raises(ValueError, match="scan_bound must be non-negative"):
         next(iter_square_roots(fixed_point_stream(DG2), scan_bound=-1))
+
+
+def test_a_finite_stream_that_ends_before_a_square_raises_domain_error():
+    # the letters run out before any square prefix, well inside the bound
+    with pytest.raises(DomainError, match=r"ends before a square prefix \(2 letters unread"):
+        next(iter_square_roots(PrefixStream(iter(["01"]))))
+    with pytest.raises(DomainError, match=r"ends before a square prefix \(5 letters unread"):
+        square_decomposition(PrefixStream(iter(["0110", "1"])), 2)
+
+
+def test_a_finite_stream_yields_its_squares_first():
+    # the blocks of a finite stream end with its letters
+    assert list(PrefixStream(iter(["0110", "1"])).blocks()) == ["0110", "1"]
+    roots = iter_square_roots(PrefixStream(iter(["0", "0", "1010", "11"])))
+    assert list(islice(roots, 3)) == ["0", "10", "1"]
+    with pytest.raises(DomainError, match=r"ends before a square prefix \(0 letters unread"):
+        next(roots)
+    assert square_decomposition(PrefixStream(iter(["0101"])), 1).roots == ("01",)
 
 
 def test_shortest_square_prefix_matches_naive_scan():
