@@ -50,14 +50,19 @@ def dominant_eigen(word: GenWord) -> EigenData:
     f1, m1 = square_free_split(p - 2)
     f2, m2 = square_free_split(p + 2)
     g = math.gcd(m1, m2)
-    root_scale = f1 * f2 * g
+    r = f1 * f2 * g  # sqrt(p^2-4) = r sqrt(m)
     m = (m1 // g) * (m2 // g)
     assert m >= 2, "primitive trace must give an irrational unit"
-    lam = QuadExt(p, root_scale, 2, m)
-    # top block row: (a - lam) x + b y = 0, normalized to x + y = 1
-    x = b / (b + lam - a)
-    y = 1 - x
-    z = (e * x + f * y) / (lam - 1)
+    lam = QuadExt(p, r, 2, m)
+    # the top block row with x + y = 1 gives x = b/(b + lam - a), y = 1 - x,
+    # and z = (f + (e-f)x)/(lam - 1); the conjugates of 2(b + lam - a) =
+    # u + r sqrt(m) and 2(lam - 1) = w + r sqrt(m) clear the denominators
+    u, w = 2 * b - 2 * a + p, p - 2
+    n = u * u - r * r * m
+    x = QuadExt(2 * b * u, -2 * b * r, n, m)
+    y = QuadExt(n - 2 * b * u, 2 * b * r, n, m)
+    za, zb = f * n + 2 * b * u * (e - f), -2 * b * r * (e - f)  # n (f + (e-f)x)
+    z = QuadExt(2 * (za * w - zb * r * m), 2 * (zb * w - za * r), n * (w * w - r * r * m), m)
     assert x.sign() > 0 and y.sign() > 0 and 0 <= z <= 1
     boundary = UPPER if z == 1 else LOWER
     return EigenData(lam, ParamVector(x, y, z, boundary), m)
@@ -81,16 +86,16 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     img = phi.apply(first_letter)
     if not img.startswith(first_letter) or len(img) < 2:
         raise DomainError(stuck)
-    # k letters map to >= k * (shortest image) letters: s[:k] reaches n once len(s) >= k
-    k = -(-n // (min(len(phi.image0), len(phi.image1)) or 1))
-    s = first_letter
+    # s = phi(s[:i]): a round maps the letters s[i:j] the last one added, up
+    # to where their shortest images reach n; with none left (i == j) s is stuck
+    shortest = min(len(phi.image0), len(phi.image1)) or 1
+    s, i = img, 1
     while len(s) < n:
-        grown = phi.apply(s[:k])
-        # each round's prefix starts with the last one, so a round that does
-        # not lengthen it leaves it stuck for good
-        if len(grown) == len(s):
+        j = min(len(s), i - (len(s) - n) // shortest)
+        if i == j:
             raise DomainError(stuck)
-        s = grown
+        s += phi.apply(s[i:j])
+        i = j
     return s[:n]
 
 

@@ -69,17 +69,15 @@ def surd_sign(a: int, b: int, m: int | None) -> int:
 
 def surd_floor(a: int, b: int, m: int | None, c: int) -> int:
     """floor((a + b*sqrt(m))/c) for integers a, b, c > 0 and m as in
-    surd_sign.  An isqrt estimate seeds the answer; exact sign tests
-    certify and correct it."""
+    surd_sign, by one isqrt.  For b != 0, s = sqrt(b*b*m) is irrational (m
+    is no square: QuadExt refuses those), so r = isqrt(b*b*m) < s < r+1.
+    An integer t is then <= a+s exactly when t <= a+r, and <= a-s exactly
+    when t <= a-r-1: the multiples of c up to each are the same, so
+    floor((a+s)/c) = (a+r)//c for b > 0 and floor((a-s)/c) = (a-r-1)//c for b < 0."""
     if b == 0:
         return a // c
     r = math.isqrt(b * b * m)
-    k = (a + (r if b > 0 else -(r + 1))) // c
-    while surd_sign(a - (k + 1) * c, b, m) >= 0:
-        k += 1
-    while surd_sign(a - k * c, b, m) < 0:
-        k -= 1
-    return k
+    return (a + r if b > 0 else a - r - 1) // c
 
 
 def common_field(m: int | None, n: int | None) -> int | None:

@@ -42,9 +42,18 @@ class PrefixStream:
         self.params = params
         self._buffer = bytearray()
 
+    def _fill(self, n: int) -> bool:
+        # False when a finite source ends before the buffer holds n letters
+        try:
+            while len(self._buffer) < n:
+                self._buffer += next(self._source).encode()
+        except StopIteration:
+            return False
+        return True
+
     def _ensure(self, n: int) -> None:
-        while len(self._buffer) < n:
-            self._buffer += next(self._source).encode()
+        if not self._fill(n):
+            raise DomainError(f"the stream has only {len(self._buffer)} letters, {n} needed")
 
     def prefix(self, n: int) -> str:
         if n < 0:
@@ -70,11 +79,7 @@ class PrefixStream:
         # a bounded block: a consumer after a long read-ahead gets the
         # letters it reads, not the whole buffer
         i = 0
-        while True:
-            try:
-                self._ensure(i + 1)
-            except StopIteration:
-                return  # a finite source has ended, and its letters are handed on
+        while self._fill(i + 1):  # a finite source ends once its letters are handed on
             block = self._buffer[i : i + _BLOCK].decode()
             i += len(block)
             yield block
@@ -182,9 +187,10 @@ def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
             upper, zero, one = not upper, one, zero
         q = _most_steps(l0a, l0b, l1a, l1b, m, False)
         # x codes zero while x < l0 (x <= l0, upper), each a step by l1
-        head = max(0, _most_steps(l0a - xa, l0b - xb, l1a, l1b, m, not upper) + 1)
-        yield from _repeated(zero, head)
-        xa, xb = xa + head * l1a, xb + head * l1b
+        head = _most_steps(l0a - xa, l0b - xb, l1a, l1b, m, not upper) + 1
+        if head > 0:
+            yield from _repeated(zero, head)
+            xa, xb = xa + head * l1a, xb + head * l1b
         if len(one) + q * len(zero) >= 64:  # every q >= 64 stops here
             break
         # one Euclid step: the runs one+zero*(q+1) and one+zero*q are the

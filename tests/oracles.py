@@ -3,7 +3,8 @@
 Everything here is deliberately written without the package's own
 arithmetic: floors come from raw integer comparisons, sequences from the
 defining formulas, squares from naive string scans, square-free parts from
-sympy's factorization.
+sympy's factorization.  The one exception, eigen_by_field_ops, holds the
+package's closed-form eigenvector to QuadExt's field operations.
 """
 
 import re
@@ -41,6 +42,27 @@ def surd_floor(a: int, b: int, m: int, c: int) -> int:
     while surd_sign(a - k * c, b, m) < 0:
         k -= 1
     return k
+
+
+def most_steps_by_search(ua: int, ub: int, va: int, vb: int, m: int, strict: bool) -> int:
+    """Largest k with k*v <= u (k*v < u when strict) for u = ua + ub*sqrt(m)
+    and v = va + vb*sqrt(m) > 0, by galloping and bisection on sign tests
+    of u - k*v only."""
+    assert surd_sign(va, vb, m) > 0
+
+    def fits(k):
+        return surd_sign(ua - k * va, ub - k * vb, m) >= (1 if strict else 0)
+
+    # fits is true up to the answer and false after it: bracket, then bisect
+    lo, hi = (0, 1) if fits(0) else (-1, 0)
+    while fits(hi):
+        lo, hi = hi, 2 * hi
+    while not fits(lo):
+        lo, hi = 2 * lo, lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def square_free_oracle(n: int) -> tuple[int, int]:
@@ -120,6 +142,25 @@ def iet_oracle(l0, l1, rho, m: int, n: int, boundary: str = "lower") -> str:
             out.append("1")
             xa, xb = xa - l0a, xb - l0b
     return "".join(out)
+
+
+def eigen_by_field_ops(rows) -> tuple:
+    """(eigenvalue, x, y, z, boundary, field) of a primitive member's
+    representation rows, by field operations on its dominant eigenvalue
+    lam = (p + sqrt(p^2-4))/2, p the block trace: x = b/(b + lam - a) and
+    y = 1 - x solve the top block row with x + y = 1, z = (e*x + f*y)/(lam - 1)
+    the third; the radicand is read off sympy's factorization of p^2-4."""
+    # imported here, as word_stream does
+    from sturmrep.exactfield import QuadExt
+
+    (a, b, _), (c, d, _), (e, f, _) = rows
+    p = a + d
+    r, m = square_free_oracle(p * p - 4)
+    lam = QuadExt(p, r, 2, m)
+    x = b / (b + lam - a)
+    y = 1 - x
+    z = (e * x + f * y) / (lam - 1)
+    return lam, x, y, z, "upper" if z == 1 else "lower", m
 
 
 def substitute(image0: str, image1: str, w: str) -> str:

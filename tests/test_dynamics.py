@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import sturmrep
 from sturmrep.dynamics import (
@@ -34,7 +36,7 @@ from sturmrep.words import (
     iet_stream,
 )
 
-from oracles import fixed_point_by_iteration, square_free_oracle
+from oracles import eigen_by_field_ops, fixed_point_by_iteration, square_free_oracle
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 DG2 = parse_genword("DGG")
@@ -153,6 +155,61 @@ def test_iterate_fixed_point_rejects_a_stuck_prefix():
     assert iterate_fixed_point(phi, "0", 2) == "01"
     with pytest.raises(DomainError, match="no expanding fixed point"):
         iterate_fixed_point(phi, "0", 5)
+
+
+def _primitive(word) -> bool:
+    return bool({G, GT} & set(word)) and bool({D, DT} & set(word))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from((G, GT, D, DT)), min_size=2, max_size=8).filter(_primitive),
+    st.integers(0, 5000),
+)
+def test_iterate_fixed_point_matches_stream_and_oracle(word, n):
+    # one pass over each letter gives the prefix of full re-iteration
+    word = tuple(word)
+    stream = fixed_point_stream(word)
+    phi = compose(word)
+    first = stream[0]
+    got = iterate_fixed_point(phi, first, n)
+    assert got == stream.prefix(n)
+    assert got == fixed_point_by_iteration(phi.image0, phi.image1, first, n)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 4, 7, 100, 4999))
+def test_iterate_fixed_point_with_an_empty_image(n):
+    # 0 -> 010 while 1 vanishes: every round still grows the prefix
+    phi = BinaryMorphism("010", "")
+    got = iterate_fixed_point(phi, "0", n)
+    assert got == fixed_point_by_iteration("010", "", "0", n)
+    assert got == ("010" * n)[:n]
+
+
+def _assert_eigen_matches_oracle(word):
+    eigen = dominant_eigen(word)
+    lam, x, y, z, boundary, field = eigen_by_field_ops(rep(word).rows)
+    v = eigen.vector
+    assert (eigen.eigenvalue, eigen.field) == (lam, field)
+    assert (v.l0, v.l1, v.rho, v.boundary) == (x, y, z, boundary)
+
+
+def test_dominant_eigen_matches_field_ops_oracle_on_short_words():
+    words = [
+        w
+        for k in range(2, 6)
+        for w in itertools.product((G, GT, D, DT), repeat=k)
+        if _primitive(w)
+    ]
+    assert len(words) == 1240
+    for word in words:
+        _assert_eigen_matches_oracle(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from((G, GT, D, DT)), min_size=2, max_size=64).filter(_primitive))
+def test_dominant_eigen_matches_field_ops_oracle_on_random_words(word):
+    _assert_eigen_matches_oracle(tuple(word))
 
 
 def test_intercept_class_examples():

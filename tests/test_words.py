@@ -23,12 +23,14 @@ from sturmrep.words import (
     iet_stream,
     mechanical,
     mechanical_stream,
+    _most_steps,
 )
 
 from oracles import (
     iet_oracle,
     mechanical_letters_at,
     mechanical_oracle,
+    most_steps_by_search,
     surd_sign,
     word_stream,
 )
@@ -224,6 +226,60 @@ def test_word_stream_repeats():
     assert word_stream("01").prefix(5) == "01010"
     with pytest.raises(ValueError):
         word_stream("")
+
+
+@pytest.mark.parametrize("read", (
+    lambda s: s.prefix(3),
+    lambda s: s.slice(1, 3),
+    lambda s: s[2],
+    lambda s: s.slice(5, 9),
+))
+def test_reading_past_the_end_of_a_finite_stream_raises_domain_error(read):
+    s = PrefixStream(iter(["0", "1"]))
+    with pytest.raises(DomainError, match="the stream has only 2 letters"):
+        read(s)
+    # the letters it has stay readable, and so does its end
+    assert s.prefix(2) == "01" and s[1] == "1" and s.slice(2, 2) == ""
+    assert list(s.blocks()) == ["01"]
+
+
+def test_a_finite_stream_read_inside_a_generator_raises_domain_error():
+    # a bare StopIteration here would turn into RuntimeError
+    def reads(stream):
+        yield stream.prefix(3)
+
+    with pytest.raises(DomainError, match="3 needed"):
+        next(reads(PrefixStream(iter(["01"]))))
+    image = BinaryMorphism("0", "11").apply(PrefixStream(iter(["01"])))
+    assert image.prefix(3) == "011"
+    with pytest.raises(DomainError, match="the stream has only 3 letters"):
+        image.prefix(4)
+
+
+@st.composite
+def most_steps_cases(draw):
+    """(u, v, m, strict) with v > 0 and pairs of both signs, rational ones
+    among them, and u near a multiple of v, where strict decides."""
+    m = draw(st.sampled_from((2, 3, 5, 7, 13, 1_000_003)))
+    big = st.integers(-10**draw(st.integers(1, 30)), 10**draw(st.integers(1, 30)))
+    va, vb = draw(big), draw(st.one_of(st.just(0), big))
+    assume((va, vb) != (0, 0))
+    if surd_sign(va, vb, m) < 0:
+        va, vb = -va, -vb
+    k = draw(st.integers(-10**12, 10**12))
+    ua, ub = draw(st.sampled_from((
+        (draw(big), draw(st.one_of(st.just(0), big))),
+        (k * va, k * vb),
+        (k * va + draw(st.integers(-2, 2)), k * vb + draw(st.integers(-2, 2))),
+    )))
+    return ua, ub, va, vb, m, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(most_steps_cases())
+def test_most_steps_matches_certified_search(case):
+    # the engine's floors for its seek, partial quotients and heads
+    assert _most_steps(*case) == most_steps_by_search(*case)
 
 
 FIELDS = (2, 3, 5, 7, 13)
