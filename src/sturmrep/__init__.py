@@ -36,6 +36,7 @@ from .morphisms import (
     Generator,
     GenWord,
     Mat2,
+    RunWord,
     compose,
     conjugates_of,
     format_genword,

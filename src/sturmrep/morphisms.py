@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+from itertools import chain, repeat, starmap
 
 from .errors import CyclicMorphismError, DomainError, ParseError
 from .exactfield import _Value
@@ -33,6 +34,26 @@ class Generator(enum.Enum):
 G, GT, D, DT = Generator.G, Generator.GT, Generator.D, Generator.DT
 
 GenWord = tuple[Generator, ...]
+
+
+class RunWord(_Value):
+    """Generator word held as its maximal runs ((generator, exponent), ...):
+    every exponent is at least 1 and neighbouring generators differ.  It
+    iterates as its generators, lazily, so it serves wherever a GenWord
+    does; its size is that of the exponents' bits, not of its length."""
+
+    __slots__ = _fields = ("runs",)
+
+    def __iter__(self):
+        return chain.from_iterable(starmap(repeat, self.runs))
+
+    def __len__(self) -> int:
+        return sum(k for _, k in self.runs)
+
+    def __bool__(self) -> bool:
+        # not by len, which overflows past sys.maxsize generators
+        return bool(self.runs)
+
 
 _WORD_RE = re.compile(r"(?:[GD]'?)*")
 # one character per generator once each prime has joined its letter

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import DomainError, MembershipError
 from .exactfield import _Value
-from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, parse_int_rows, power
+from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, RunWord, parse_int_rows, power
 
 Rows = tuple[tuple[int, int, int], ...]
 
@@ -218,8 +218,9 @@ def check_membership(matrix: Mat3) -> Membership:
     return Membership(True)
 
 
-def decompose(matrix: Mat3) -> GenWord:
-    """Factor a member matrix into a generator word with rep(word) == matrix.
+def decompose(matrix: Mat3) -> RunWord:
+    """Factor a member matrix into a generator word with rep(word) == matrix,
+    returned as its maximal runs.
 
     Euclid's algorithm on the block rows, one quotient step per run while
     B > 0 and C > 0:
@@ -232,12 +233,16 @@ def decompose(matrix: Mat3) -> GenWord:
     Within a run G' precedes G and D precedes D', so the word is the one
     that peeling a single generator at a time would give.  Each minimum is
     taken by comparisons: q = A//C is lowered to B//D when B < q*D, and i
-    is clamped the same way against E//C and F//D.
+    is clamped the same way against E//C and F//D.  A step leaves A < C or
+    B < D, so G-steps and D-steps alternate and the runs are maximal once
+    empty ones are dropped.  The word holds one (generator, exponent) pair
+    per run, so its size follows the entries' bits; iterating it or taking
+    its len raises OverflowError past sys.maxsize generators.
     """
     verdict = check_membership(matrix)
     if not verdict:
         raise MembershipError(verdict.certificate)
-    tokens: list[Generator] = []
+    runs: list[tuple[Generator, int]] = []
     a, b, c, d, e, f = matrix.named()
     while b and c:
         if a >= c and b >= d:
@@ -249,8 +254,10 @@ def decompose(matrix: Mat3) -> GenWord:
                 i = e // c
             if f < i * d:
                 i = f // d
-            tokens += [GT] * i
-            tokens += [G] * (q - i)
+            if i:
+                runs.append((GT, i))
+            if q > i:
+                runs.append((G, q - i))
             a -= q * c
             b -= q * d
             e -= i * c
@@ -265,17 +272,23 @@ def decompose(matrix: Mat3) -> GenWord:
                 i = e // a
             if f < i * b:
                 i = f // b
-            tokens += [D] * i
-            tokens += [DT] * (q - i)
+            if i:
+                runs.append((D, i))
+            if q > i:
+                runs.append((DT, q - i))
             c -= q * a
             d -= q * b
             e -= i * a
             f -= i * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
-        tokens += [G] * (b - f)
-        tokens += [GT] * f
+        if b > f:
+            runs.append((G, b - f))
+        if f:
+            runs.append((GT, f))
     else:
-        tokens += [DT] * (c - e)
-        tokens += [D] * e
-    return tuple(tokens)
+        if c > e:
+            runs.append((DT, c - e))
+        if e:
+            runs.append((D, e))
+    return RunWord(tuple(runs))

@@ -105,7 +105,8 @@ def square_decomposition(stream: PrefixStream, blocks: int) -> SquareDecompositi
 class SqrtMorphism(_Value):
     """Fixing morphism of the square root: psi fixes the root stream of the
     fixed point and is the conjugate by the root map of the k-th power of
-    the input morphism, k <= 4.  Its images are palindromes of odd length
+    the input morphism, k <= 4, and genword is its factorization as the
+    RunWord decompose returns.  Its images are palindromes of odd length
     when the fixed point is characteristic."""
 
     __slots__ = _fields = ("morphism", "power", "genword")

@@ -1,5 +1,7 @@
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sturmrep.errors import DomainError, MembershipError, ParseError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, compose, format_genword, parse_genword
+from sturmrep.morphisms import D, DT, G, GT, RunWord, compose, format_genword, parse_genword
 from sturmrep.representation import (
     Mat3,
     check_membership,
@@ -39,6 +41,11 @@ longwords = st.one_of(randomwords, runwords)
 
 def tokens(word):
     return [g.token for g in word]
+
+
+def assert_maximal_runs(word):
+    assert all(type(k) is int and k >= 1 for _, k in word.runs)
+    assert all(g is not h for (g, _), (h, _) in zip(word.runs, word.runs[1:]))
 
 R_GT = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
 R_G = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -205,12 +212,12 @@ def test_companion_inequality_holds_for_members():
 
 def test_decompose_examples():
     assert format_genword(decompose(Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1))))) == "DGG"
-    assert decompose(Mat3.identity()) == ()
+    assert decompose(Mat3.identity()).runs == () and not decompose(Mat3.identity())
     assert format_genword(decompose(rep((GT,)))) == "G'"
     # the last run, at C = 0 or at B = 0
     assert format_genword(decompose(Mat3(((1, 3, 0), (0, 1, 0), (0, 2, 1))))) == "GG'G'"
     assert format_genword(decompose(Mat3(((1, 0, 0), (3, 1, 0), (1, 0, 1))))) == "D'D'D"
-    assert decompose(Mat3(((1, 0, 0), (10**5, 1, 0), (0, 0, 1)))) == (DT,) * 10**5
+    assert decompose(Mat3(((1, 0, 0), (10**5, 1, 0), (0, 0, 1)))).runs == ((DT, 10**5),)
 
 
 def test_decompose_rejects_non_members_with_certificate():
@@ -244,8 +251,69 @@ def test_decompose_matches_peeling_oracle_on_long_words(w):
     # factoring of a long product does; run words take a few large ones
     matrix = rep(w)
     word = decompose(matrix)
-    assert type(word) is tuple
+    assert type(word) is RunWord
+    assert_maximal_runs(word)
     assert [g.token for g in word] == decompose_by_peeling(matrix.rows)
+
+
+@settings(deadline=None)
+@given(st.one_of(genwords, runwords, longwords))
+def test_decompose_returns_maximal_runs(w):
+    matrix = rep(w)
+    word = decompose(matrix)
+    assert_maximal_runs(word)
+    peeled = decompose_by_peeling(matrix.rows)
+    assert [g.token for g in word] == peeled
+    assert len(word) == len(peeled)
+    assert rep(word) == matrix
+    again = decompose(Mat3(matrix.rows))
+    assert again is not word and again == word and hash(again) == hash(word)
+
+
+def decompose_traced(matrix):
+    """(word, seconds, tracemalloc peak in bytes) of one decompose."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        word = decompose(matrix)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return word, elapsed, peak
+
+
+@pytest.mark.parametrize("n", [3 * 10**6, 2**256], ids=["3e6", "2^256"])
+def test_decompose_of_a_long_run_keeps_one_pair(n):
+    # one token per generator took 48 MB at n = 3*10^6, and no memory holds 2^256
+    word, elapsed, peak = decompose_traced(Mat3(((1, 0, 0), (n, 1, 0), (0, 0, 1))))
+    assert word.runs == ((DT, n),) and word
+    assert elapsed < 2.0 and peak < 100_000
+    if n > sys.maxsize:
+        with pytest.raises(OverflowError):
+            len(word)
+        with pytest.raises(OverflowError):
+            next(iter(word))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_decompose_factors_256_bit_members(seed):
+    # many small quotients from random tokens, then few large ones from
+    # runs too long to write out; products of run matrices stand in for rep
+    rng = random.Random(seed)
+    matrix = rep(rng.choices(ALL, k=600))
+    big = Mat3.identity()
+    while max(map(max, big.rows)) < 2**256:
+        big = big * rep((rng.choice(ALL),)) ** rng.randrange(1, 2**48)
+    for m in (matrix, big):
+        assert max(map(max, m.rows)).bit_length() > 256
+        word, elapsed, peak = decompose_traced(m)
+        assert elapsed < 2.0 and peak < 100_000
+        assert_maximal_runs(word)
+        product_of_runs = Mat3.identity()
+        for g, k in word.runs:
+            product_of_runs = product_of_runs * rep((g,)) ** k
+        assert product_of_runs == m
 
 
 def test_faithfulness_small_scale():

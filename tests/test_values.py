@@ -16,6 +16,7 @@ from sturmrep import (
     Membership,
     ParamVector,
     QuadExt,
+    RunWord,
     SlopeIntercept,
     SqrtMorphism,
     SquareDecomposition,
@@ -58,6 +59,8 @@ CASES = [
      "SqrtMorphism(morphism=BinaryMorphism(image0='1010101', image1='1010101101011010101'), "
      "power=2, genword=(Generator.D, Generator.G, Generator.G, Generator.DT, Generator.G, "
      "Generator.GT))"),
+    (RunWord, (((D, 1), (G, 2), (DT, 2**70)),),
+     "RunWord(runs=((Generator.D, 1), (Generator.G, 2), (Generator.DT, 1180591620717411303424)))"),
     (SuiteResult, ("relations", True, "8 relations"),
      "SuiteResult(name='relations', ok=True, details='8 relations')"),
 ]
@@ -72,6 +75,7 @@ FIELDS = {
     YasutomiReport: ("ok", "same_field", "conjugate_in_bounds", "alpha", "delta"),
     SquareDecomposition: ("roots",),
     SqrtMorphism: ("morphism", "power", "genword"),
+    RunWord: ("runs",),
     SuiteResult: ("name", "ok", "details"),
 }
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
