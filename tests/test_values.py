@@ -59,10 +59,10 @@ CASES = [
      "SqrtMorphism(morphism=BinaryMorphism(image0='1010101', image1='1010101101011010101'), "
      "power=2, genword=(Generator.D, Generator.G, Generator.G, Generator.DT, Generator.G, "
      "Generator.GT))"),
-    (RunWord, (((D, 1), (G, 2), (DT, 2**70)),),
-     "RunWord(runs=((Generator.D, 1), (Generator.G, 2), (Generator.DT, 1180591620717411303424)))"),
     (SuiteResult, ("relations", True, "8 relations"),
      "SuiteResult(name='relations', ok=True, details='8 relations')"),
+    (RunWord, (((D, 1), (G, 2), (DT, 2**70)),),
+     "RunWord(runs=((Generator.D, 1), (Generator.G, 2), (Generator.DT, 1180591620717411303424)))"),
 ]
 FIELDS = {
     SlopeIntercept: ("alpha", "delta", "kind"),
