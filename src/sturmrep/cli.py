@@ -25,6 +25,9 @@ from .representation import Mat3, check_membership, decompose, rep
 from .sqroot import square_decomposition, square_root_stream, sqrt_fixing_morphism
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
 
+# decompose prints a word of at most this many generators (10 to 20 MB of text)
+MAX_PRINTED_GENERATORS = 10**7
+
 
 def non_negative_int(text: str) -> int:
     """argparse type for sizes and counts."""
@@ -105,6 +108,13 @@ def _cmd(args, out) -> int:
         print(rep(parse_genword(args.genword)), file=out)
     elif args.command == "decompose":
         word = decompose(Mat3.parse(args.matrix))
+        # not by len, which overflows past sys.maxsize generators
+        count = sum(k for _, k in word.runs)
+        if count > MAX_PRINTED_GENERATORS:
+            raise DomainError(
+                f"the factorization has {count} generators, more than "
+                f"{MAX_PRINTED_GENERATORS} can be printed"
+            )
         print(format_genword(word), file=out)
     elif args.command == "membership":
         verdict = check_membership(Mat3.parse(args.matrix))

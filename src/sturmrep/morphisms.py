@@ -11,10 +11,11 @@ from __future__ import annotations
 import enum
 import re
 from itertools import chain, repeat, starmap
+from typing import Iterator
 
 from .errors import CyclicMorphismError, DomainError, ParseError
 from .exactfield import _Value
-from .words import PrefixStream
+from .words import DEFAULT_SCAN_BOUND, PrefixStream
 
 
 class Generator(enum.Enum):
@@ -174,17 +175,50 @@ class BinaryMorphism(_Value):
         object.__setattr__(self, "image0", image0)
         object.__setattr__(self, "image1", image1)
 
+    def _image(self, w: str) -> str:
+        if w.count("0") + w.count("1") != len(w):
+            # only the failure path scans in Python, to name the first bad letter
+            raise KeyError(next(ch for ch in w if ch not in "01"))
+        # both images are binary, so "2" is free to hold the zeros
+        return w.replace("0", "2").replace("1", self.image1).replace("2", self.image0)
+
+    def _capped(self, blocks: Iterator[str]) -> Iterator[str]:
+        # exactly one image is empty: a run of erased letters may never end
+        erased = "1" if self.image0 else "0"
+        run = 0  # erased letters in a row up to the end of the last block
+        for block in blocks:
+            image = self._image(block)
+            # blocks() hands on at most 256 letters, so a run that passes the
+            # bound starts in an earlier block or ends in a later one
+            head = len(block) - len(block.lstrip(erased))
+            if run + head > DEFAULT_SCAN_BOUND:
+                raise DomainError(
+                    f"more than {DEFAULT_SCAN_BOUND} letters in a row map to the empty word"
+                )
+            run = run + head if head == len(block) else len(block) - len(block.rstrip(erased))
+            yield image
+
     def apply(self, w):
         """Image of a finite word (str in, str out) or of a stream
         (PrefixStream in, lazily mapped PrefixStream out, one block of the
-        input at a time)."""
-        image = {"0": self.image0, "1": self.image1}.__getitem__
+        input at a time).
+
+        A word is mapped by three C-level passes, w.replace("0", "2"),
+        .replace("1", image1), .replace("2", image0), after one guard: its
+        counts of "0" and "1" must add up to its length.  Any other letter,
+        the placeholder "2" included, raises KeyError naming the first one;
+        in a stream it raises when its block is read.  With exactly one
+        empty image, a stream without params raises DomainError once more
+        than DEFAULT_SCAN_BOUND letters in a row map to nothing; a stream
+        with params is uncapped, as both letters recur in it."""
         if isinstance(w, str):
-            return "".join(map(image, w))
+            return self._image(w)
         if isinstance(w, PrefixStream):
             if not (self.image0 or self.image1):
                 raise DomainError("an erasing morphism maps every stream to the empty word")
-            return PrefixStream("".join(map(image, block)) for block in w.blocks())
+            if w.params is None and not (self.image0 and self.image1):
+                return PrefixStream(self._capped(w.blocks()))
+            return PrefixStream(map(self._image, w.blocks()))
         raise TypeError(f"cannot apply a morphism to {type(w).__name__}")
 
     def __mul__(self, other: BinaryMorphism) -> BinaryMorphism:

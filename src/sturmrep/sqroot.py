@@ -28,10 +28,8 @@ from .errors import DomainError, NotPrimitiveError, ScanBoundError
 from .exactfield import _Value
 from .morphisms import GenWord, compose, format_genword
 from .representation import Mat3, decompose, rep
-from .words import ParamVector, PrefixStream, iet_stream
+from .words import DEFAULT_SCAN_BOUND, ParamVector, PrefixStream, iet_stream
 
-# Caps the scan of a stream without a vector: Thue-Morse has no square prefix.
-DEFAULT_SCAN_BOUND = 10_000
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
 
 

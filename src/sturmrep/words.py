@@ -23,6 +23,10 @@ from .exactfield import QuadExt, _Value, common_field, operand_parts, surd_floor
 LOWER = "lower"
 UPPER = "upper"
 _BLOCK = 256  # most letters per step of PrefixStream.blocks()
+# Caps work on a stream without a vector, whose letters need not recur: the
+# square scan (Thue-Morse has no square prefix) and a morphism with one
+# empty image (an erased tail maps to nothing).
+DEFAULT_SCAN_BOUND = 10_000
 
 
 class PrefixStream:
@@ -95,9 +99,14 @@ def _as_field(x) -> QuadExt:
 
 class SlopeIntercept(_Value):
     """Slope alpha in (0,1), irrational; intercept delta in [0,1) for the
-    lower sequence, [0,1] for the upper one."""
+    lower sequence, [0,1] for the upper one.  params is the ParamVector of
+    its mechanical sequence (see params_of), built once after the checks,
+    so a slope and an intercept from two fields raise FieldMismatchError
+    here; it is derived, so equality, hash, repr and pickling read the
+    three fields only."""
 
-    __slots__ = _fields = ("alpha", "delta", "kind")
+    _fields = ("alpha", "delta", "kind")
+    __slots__ = (*_fields, "params")
 
     def __init__(self, alpha: QuadExt, delta: QuadExt, kind: str = LOWER):
         alpha, delta = _as_field(alpha), _as_field(delta)
@@ -113,6 +122,9 @@ class SlopeIntercept(_Value):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "kind", kind)
+        # a zero intercept means rho = l0+l1 for the upper sequence
+        rho = QuadExt(1) if kind == UPPER and delta == 0 else delta
+        object.__setattr__(self, "params", ParamVector(1 - alpha, alpha, rho, kind))
 
 
 class ParamVector(_Value):
@@ -232,9 +244,9 @@ def iet_code(v: ParamVector, n: int) -> str:
 
 def params_of(si: SlopeIntercept) -> ParamVector:
     """Parameter vector of the mechanical sequence: (1-alpha, alpha, delta),
-    except that a zero intercept means rho = l0+l1 for the upper sequence."""
-    rho = QuadExt(1) if si.kind == UPPER and si.delta == 0 else si.delta
-    return ParamVector(1 - si.alpha, si.alpha, rho, si.kind)
+    except that a zero intercept means rho = l0+l1 for the upper sequence.
+    SlopeIntercept builds it once as si.params, which this returns."""
+    return si.params
 
 
 def mechanical_stream(si: SlopeIntercept) -> PrefixStream:

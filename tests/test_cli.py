@@ -65,6 +65,23 @@ def test_decompose_rejects_with_diagnostic(capsys):
     assert "membership failed: F<B+D" in capsys.readouterr().err
 
 
+def test_decompose_refuses_to_print_more_than_10_7_generators():
+    # D'^k for k = 10^23 (past sys.maxsize) and 2^62: each child has 2 s,
+    # so building the text of the word would fail the test
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for k in (10**23, 2**62):
+        done = subprocess.run(
+            [sys.executable, "-m", "sturmrep.cli", "decompose",
+             "--matrix", f"[[1,0,0],[{k},1,0],[0,0,1]]"],
+            env=env, capture_output=True, text=True, timeout=2,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == (
+            f"error: the factorization has {k} generators, more than 10000000 can be printed\n"
+        )
+    assert capture(["decompose", "--matrix", "[[1,0,0],[10000001,1,0],[0,0,1]]"]) == (1, "")
+
+
 def test_membership_reports_both_ways():
     code, out = capture(["membership", "--matrix", "[[1,2,0],[1,3,0],[1,2,1]]"])
     assert code == 0 and out == "member: true\n"

@@ -26,6 +26,7 @@ from sturmrep.morphisms import (
     rightmost_conjugate,
 )
 from sturmrep.representation import rep
+from sturmrep.words import PrefixStream
 
 from oracles import (
     compose_by_substitution,
@@ -147,6 +148,45 @@ def test_apply():
         phi.apply("102")
 
 
+binary_words = st.text(alphabet="01", max_size=60)
+short_images = st.text(alphabet="01", max_size=6)
+
+
+@given(binary_words, short_images, short_images, st.lists(st.integers(0, 60), max_size=8))
+def test_apply_matches_substitute_oracle(w, image0, image1, cuts):
+    # the str path, and the stream path over the word cut into blocks at
+    # random points (empty blocks included)
+    phi = BinaryMorphism(image0, image1)
+    want = substitute(image0, image1, w)
+    assert phi.apply(w) == want
+    bounds = [0, *sorted(min(c, len(w)) for c in cuts), len(w)]
+    src = PrefixStream(iter([w[i:j] for i, j in zip(bounds, bounds[1:])]))
+    if not (image0 or image1):
+        with pytest.raises(DomainError):
+            phi.apply(src)
+        return
+    out = phi.apply(src)
+    assert out.prefix(len(want)) == want
+    with pytest.raises(DomainError):
+        out.prefix(len(want) + 1)
+
+
+@pytest.mark.parametrize("word, bad", [("102", "2"), ("2", "2"), ("0120", "2"), ("01a2", "a")])
+def test_apply_names_the_first_non_binary_letter(word, bad):
+    # "2" is the placeholder of the replace passes, so it is refused too
+    with pytest.raises(KeyError) as info:
+        BinaryMorphism("10", "1").apply(word)
+    assert info.value.args == (bad,)
+
+
+def test_apply_stream_raises_on_reading_a_non_binary_block():
+    out = BinaryMorphism("10", "1").apply(PrefixStream(iter(["01", "0x1", "0"])))
+    assert out.prefix(3) == "101"
+    with pytest.raises(KeyError) as info:
+        out.prefix(4)
+    assert info.value.args == ("x",)
+
+
 def test_apply_stream_is_lazy_and_consistent():
     phi = compose(parse_genword("DGG"))
     src = word_stream("10")
@@ -162,12 +202,24 @@ def test_erasing_morphism_on_a_stream_returns_within_2_s():
         "from sturmrep.dynamics import fixed_point_stream\n"
         "from sturmrep.errors import DomainError\n"
         "from sturmrep.morphisms import BinaryMorphism, parse_genword\n"
+        "from sturmrep.words import PrefixStream\n"
         "s = fixed_point_stream(parse_genword('DGG'))\n"
         "print(BinaryMorphism('', '1').apply(s).prefix(5))\n"
         "try:\n"
         "    BinaryMorphism('', '').apply(s).prefix(1)\n"
         "except DomainError as e:\n"
         "    print('DomainError:', e)\n"
+        # a stream without params ending in the erased letter
+        "try:\n"
+        "    BinaryMorphism('', '1').apply(PrefixStream(iter(lambda: '0', None))).prefix(1)\n"
+        "except DomainError as e:\n"
+        "    print('DomainError:', e)\n"
+        # up to the bound, a run of erased letters still maps
+        "print(BinaryMorphism('', '1').apply(PrefixStream(iter(['0' * 9999 + '1']))).prefix(1))\n"
+        "print(BinaryMorphism('0', '').apply(PrefixStream(iter(['1'] * 10000 + ['0'])))[0])\n"
+        # a fixed point with runs of 12 001 zeros has params: no cap
+        "s = fixed_point_stream(parse_genword('G' * 12000 + 'D'))\n"
+        "print(BinaryMorphism('', '1').apply(s).prefix(3))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(
@@ -176,6 +228,8 @@ def test_erasing_morphism_on_a_stream_returns_within_2_s():
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (
         "11111\nDomainError: an erasing morphism maps every stream to the empty word\n"
+        "DomainError: more than 10000 letters in a row map to the empty word\n"
+        "1\n0\n111\n"
     )
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -23,6 +25,7 @@ from sturmrep.words import (
     iet_stream,
     mechanical,
     mechanical_stream,
+    params_of,
     _most_steps,
 )
 
@@ -52,6 +55,33 @@ def test_mechanical_zero_intercept_starts_with_zero():
 def test_mechanical_fibonacci_prefix():
     si = SlopeIntercept(FIB_ALPHA, FIB_ALPHA)
     assert mechanical(si, 10) == "0100101001"
+
+
+def test_slope_intercept_holds_its_params():
+    # the vector params_of built from the fields, once, at construction
+    for alpha, delta, kind, rho in (
+        (SQRT3_OVER_3, SQRT3_OVER_3, LOWER, SQRT3_OVER_3),
+        (FIB_ALPHA, QuadExt(1, 0, 3), UPPER, QuadExt(1, 0, 3)),
+        (FIB_ALPHA, QuadExt(1), UPPER, QuadExt(1)),
+        (SQRT3_OVER_3, QuadExt(0), LOWER, QuadExt(0)),
+        (SQRT3_OVER_3, QuadExt(0), UPPER, QuadExt(1)),  # zero upper intercept: rho = l0+l1
+    ):
+        si = SlopeIntercept(alpha, delta, kind)
+        fresh = ParamVector(1 - alpha, alpha, rho, kind)
+        assert params_of(si) is si.params
+        assert si.params == fresh and si.params.pairs == fresh.pairs
+        # params is derived: a pickled or copied value builds it again
+        for y in (pickle.loads(pickle.dumps(si)), copy.copy(si), copy.deepcopy(si)):
+            assert y == si and y.params == fresh and y.params.pairs == fresh.pairs
+            assert repr(y) == repr(si) and "params" not in repr(y)
+
+
+def test_slope_and_intercept_from_two_fields_raise_at_construction():
+    with pytest.raises(FieldMismatchError, match=r"^cannot mix sqrt\(3\) with sqrt\(2\)$"):
+        SlopeIntercept(QuadExt(0, 1, 2, 2), SQRT3_OVER_3)
+    # the range checks come first, with their own text
+    with pytest.raises(DomainError, match="^intercept out of range$"):
+        SlopeIntercept(QuadExt(0, 1, 2, 2), SQRT3_OVER_3 + 1)
 
 
 def _frac(x: QuadExt) -> QuadExt:
