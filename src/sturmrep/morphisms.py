@@ -74,6 +74,9 @@ def parse_genword(text: str) -> GenWord:
 
 
 def format_genword(word: GenWord) -> str:
+    # a RunWord joins one repeated token per run, not one per generator
+    if isinstance(word, RunWord):
+        return "".join(g.token * k for g, k in word.runs)
     return "".join(g.token for g in word)
 
 

@@ -7,7 +7,8 @@ pairs with exact sign tests and floors, never floats.  The runs of the
 repeated letter code the induced exchange (one Euclid step, or Rauzy
 induction), so the engine goes down level by level, composing the run
 words, until a run holds 64 letters or more; there one sign test decides a
-run.  A seek starts the orbit at any letter after one exact floor.  A
+run.  Each parameter vector holds one run of the engine, which all its
+streams read; a seek starts the orbit at any letter after one exact floor.  A
 mechanical sequence of slope alpha and intercept delta is the coding of the
 parameter vector (1-alpha, alpha, delta), see params_of.
 """
@@ -32,25 +33,38 @@ DEFAULT_SCAN_BOUND = 10_000
 class PrefixStream:
     """Deterministic on-demand {0,1} sequence.
 
-    source is an iterator of str blocks, one letter or many per step.
-    Blocks are buffered whole as they are read, so prefix() is idempotent
-    and several consumers may read one stream at independent positions;
-    blocks() hands the letters on in blocks of at most 256.  params is the
-    ParamVector a 2iet stream codes, None for other streams; with it,
+    source is an iterator of str blocks of ASCII letters, one letter or
+    many per step; a non-ASCII letter raises DomainError naming it when its
+    block is read.  Blocks are buffered whole as they are read, so prefix()
+    is idempotent and several consumers may read one stream at independent
+    positions; blocks() hands the letters on in blocks of at most 256.
+    buffer is the bytearray the letters of source go into, shared by every
+    stream over that source, so a read through one extends it for all (the
+    library is single-threaded: nothing locks a shared buffer).  params is
+    the ParamVector a 2iet stream codes, None for other streams; with it,
     slice(i, j) with i over 512 letters past the buffer seeks to letter i
-    and costs j - i letters, and the buffer stays a prefix.
+    on a source of its own, unshared, and costs j - i letters, and the
+    buffer stays a prefix.
     """
 
-    def __init__(self, source: Iterator[str], params: ParamVector | None = None):
+    def __init__(self, source: Iterator[str], params: ParamVector | None = None,
+                 buffer: bytearray | None = None):
         self._source = source
         self.params = params
-        self._buffer = bytearray()
+        self._buffer = bytearray() if buffer is None else buffer
 
     def _fill(self, n: int) -> bool:
         # False when a finite source ends before the buffer holds n letters
+        buffer = self._buffer
         try:
-            while len(self._buffer) < n:
-                self._buffer += next(self._source).encode()
+            while len(buffer) < n:
+                block = next(self._source)
+                # one byte per letter, so the buffer slices by letter; the
+                # check costs less than encode("ascii")
+                if not block.isascii():
+                    bad = next(ch for ch in block if not ch.isascii())
+                    raise DomainError(f"non-ASCII letter {bad!r} in a stream")
+                buffer += block.encode()
         except StopIteration:
             return False
         return True
@@ -69,8 +83,9 @@ class PrefixStream:
         if not 0 <= i <= j:
             raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
         # a seek costs about 500 letters of the engine: nearer starts extend
-        if self.params is not None and i > len(self._buffer) + 512:
-            return PrefixStream(_iet_letters(self.params, i)).prefix(j - i)
+        v = self.params
+        if v is not None and i > len(self._buffer) + 512:
+            return PrefixStream(_iet_letters(v.pairs, v.boundary, i)).prefix(j - i)
         self._ensure(j)
         return self._buffer[i:j].decode()
 
@@ -135,10 +150,20 @@ class ParamVector(_Value):
     pairs is (m, l0, l1, rho) with each value an integer pair (a, b) for
     (a + b*sqrt(m))/den over one common denominator den, which the checks
     here and the 2iet engine share; derived from the fields, it is none.
+
+    The vector also holds the one letter source of its 2iet sequence, which
+    iet_stream fills on first use: every stream it hands out for the vector
+    reads one run of the engine into one shared buffer, so the sequence is
+    coded once however many streams read it, and the letters stay buffered
+    as long as the vector lives.  A seek runs an engine of its own and
+    leaves the buffer as it is.  Like pairs, the source is no field:
+    equality, hash, repr, pickling and copies read the four fields only,
+    and a copy starts with no source.  Nothing locks the source: the
+    streams of one vector are read from one thread.
     """
 
     _fields = ("l0", "l1", "rho", "boundary")
-    __slots__ = (*_fields, "pairs")
+    __slots__ = (*_fields, "pairs", "_letters")
 
     def __init__(self, l0: QuadExt, l1: QuadExt, rho: QuadExt, boundary: str = LOWER):
         l0, l1, rho = _as_field(l0), _as_field(l1), _as_field(rho)
@@ -161,6 +186,7 @@ class ParamVector(_Value):
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "boundary", boundary)
         object.__setattr__(self, "pairs", (m, *pairs))
+        object.__setattr__(self, "_letters", None)  # (source, buffer), see iet_stream
 
 
 def _repeated(word: str, n: int) -> Iterator[str]:
@@ -178,15 +204,17 @@ def _most_steps(ua: int, ub: int, va: int, vb: int, m: int, strict: bool) -> int
     return -surd_floor(-a, -b, m, n) - 1 if strict else surd_floor(a, b, m, n)
 
 
-def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
+def _iet_letters(pairs: tuple, boundary: str, start: int = 0) -> Iterator[str]:
     # Integer pairs (a, b) stand for (a + b*sqrt(m))/den.  Each level codes
     # the exchange (l0, l1, x) with its letters standing for the words zero
     # and one.  For l1 > l0 the coding of (l1, l0, l0+l1-x), other boundary
     # kind, is its letter exchange.  With l0 > l1 each one is followed by q
     # or q+1 zeros, q = floor(l0/l1), and after a head of zeros these runs
     # code the exchange (r, l1-r, x-l0), r = l0 - q*l1, of the same kind.
-    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
-    upper = v.boundary == UPPER
+    # It takes the vector's pairs, not the vector, which holds the source:
+    # a frame holding the vector would make a cycle that only gc frees.
+    m, (l0a, l0b), (l1a, l1b), (xa, xb) = pairs
+    upper = boundary == UPPER
     if start:  # rotation by l1, into [0, total) or, upper, into (0, total]
         xa, xb = xa + start * l1a, xb + start * l1b
         k = _most_steps(xa, xb, l0a + l1a, l0b + l1b, m, upper)
@@ -229,11 +257,22 @@ def _iet_letters(v: ParamVector, start: int = 0) -> Iterator[str]:
 
 
 def iet_stream(v: ParamVector) -> PrefixStream:
+    """The coding of the orbit of rho under the exchange of two intervals
+    of lengths l0 and l1, as a stream over the vector's one letter source:
+    the streams of one vector share their letters, so none of them runs the
+    engine for letters another has read, and a slice far out seeks on a
+    source of its own.  A source that has ended can only have been stopped
+    by an exception in a read, such as KeyboardInterrupt; the next call
+    starts a new one, and the streams of the old one stay as they were."""
     # the slope l1/(l0+l1) is rational when the numerators of l0 and l1 are
     # proportional
     if v.l0.a * v.l1.b == v.l0.b * v.l1.a:
         raise DomainError("rational slope generates a periodic sequence")
-    return PrefixStream(_iet_letters(v), v)
+    letters = v._letters
+    if letters is None or letters[0].gi_frame is None:  # none yet, or ended
+        letters = (_iet_letters(v.pairs, v.boundary), bytearray())
+        object.__setattr__(v, "_letters", letters)
+    return PrefixStream(letters[0], v, letters[1])
 
 
 def iet_code(v: ParamVector, n: int) -> str:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from sturmrep.morphisms import (
     IDENTITY,
     BinaryMorphism,
     Mat2,
+    RunWord,
     compose,
     conjugates_of,
     format_genword,
@@ -111,6 +113,26 @@ def test_genword_text_round_trip_on_long_words(word):
     text = format_genword(word)
     assert parse_genword(text) == word
     assert parse_genword(f" {text}\n") == word
+
+
+@st.composite
+def run_words(draw):
+    """RunWords of up to eight maximal runs with exponents up to 300."""
+    gens = draw(st.lists(st.sampled_from(ALL), max_size=8))
+    gens = [g for i, g in enumerate(gens) if i == 0 or g != gens[i - 1]]
+    return RunWord(tuple((g, draw(st.integers(1, 300))) for g in gens))
+
+
+@given(st.one_of(run_words(), randomwords))
+def test_format_genword_matches_the_per_token_join(word):
+    assert format_genword(word) == "".join(g.token for g in word)
+
+
+def test_format_genword_of_a_long_run_is_one_repetition():
+    t0 = time.perf_counter()
+    text = format_genword(RunWord(((DT, 10**7),)))
+    assert time.perf_counter() - t0 < 0.5
+    assert len(text) == 2 * 10**7 and text[:4] == "D'D'" and text.strip("D'") == ""
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 import time
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
 from sturmrep.errors import DomainError, FieldMismatchError
 from sturmrep.exactfield import HALF, QuadExt
+from sturmrep import words
 from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
 from sturmrep.representation import rep
 from sturmrep.sqroot import iter_square_roots, square_root_stream
@@ -34,6 +36,7 @@ from oracles import (
     mechanical_letters_at,
     mechanical_oracle,
     most_steps_by_search,
+    substitute,
     surd_sign,
     word_stream,
 )
@@ -284,6 +287,20 @@ def test_a_finite_stream_read_inside_a_generator_raises_domain_error():
     assert image.prefix(3) == "011"
     with pytest.raises(DomainError, match="the stream has only 3 letters"):
         image.prefix(4)
+
+
+def test_a_non_ascii_letter_raises_domain_error_naming_it():
+    # letters are buffered one byte each, so a prefix has its n letters
+    with pytest.raises(DomainError, match="^non-ASCII letter 'é' in a stream$"):
+        PrefixStream(iter(["é0"])).prefix(2)
+    s = PrefixStream(iter(["01", "0é", "1"]))
+    assert s.prefix(2) == "01"
+    with pytest.raises(DomainError, match="'é'"):
+        s.prefix(3)
+    # a block of 256 letters ending in one: before, a cut through its bytes
+    image = BinaryMorphism("10", "1").apply(PrefixStream(iter(["0" * 255 + "é"])))
+    with pytest.raises(DomainError, match="'é'"):
+        image.prefix(400)
 
 
 @st.composite
@@ -552,3 +569,179 @@ def test_prefix_after_far_slice():
     assert s.slice(FAR + 10, FAR + 20) == far[10:20]
     assert s.slice(100, 400) == iet_code(v, 400)[100:]
     assert iet_stream(v).slice(FAR, FAR + 64) == far
+
+
+# -- one letter source per vector ---------------------------------------------
+
+NEAR = 2900  # near reads stay inside the oracle prefix
+
+
+@st.composite
+def shared_reads(draw):
+    """A mechanical sequence (its SlopeIntercept and (a, b, c) triples) and
+    reads on handles of its one vector: new handles by iet_stream and
+    mechanical_stream, prefixes, slices near the buffer and far past it,
+    single letters, steps of blocks() iterators kept open across the other
+    reads, and morphic images."""
+    m = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from((LOWER, UPPER)))
+    alpha = _frac(QuadExt(draw(st.integers(-30, 30)), draw(st.integers(1, 9)),
+                          draw(st.integers(1, 30)), m))
+    delta = draw(st.sampled_from((
+        QuadExt(1) if kind == UPPER else QuadExt(0),
+        QuadExt(draw(st.integers(1, 7)), 0, 8),
+        _frac(alpha * -draw(st.integers(1, 2000))),
+        _frac(QuadExt(draw(st.integers(-9, 9)), draw(st.integers(1, 9)), 7, m)),
+    )))
+    reads = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("iet_stream", "mechanical_stream"))),
+        st.tuples(st.just("prefix"), st.integers(0, 99), st.integers(0, NEAR)),
+        st.tuples(st.just("near"), st.integers(0, 99), st.integers(0, NEAR - 64),
+                  st.integers(0, 64)),
+        st.tuples(st.just("far"), st.integers(0, 99), st.integers(NEAR, 10**12),
+                  st.integers(0, 64)),
+        st.tuples(st.just("letter"), st.integers(0, 99), st.integers(0, NEAR)),
+        st.tuples(st.just("blocks"), st.integers(0, 99), st.integers(1, 3)),
+        st.tuples(st.just("apply"), st.integers(0, 99), st.text("01", min_size=1, max_size=3),
+                  st.text("01", min_size=1, max_size=3), st.integers(0, NEAR)),
+    ), min_size=1, max_size=30))
+    return SlopeIntercept(alpha, delta, kind), reads
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_reads())
+def test_interleaved_handles_of_one_vector_match_floor_oracle(case):
+    si, reads = case
+    a, d, m, kind = _triple(si.alpha), _triple(si.delta), si.alpha.m, si.kind
+    want = mechanical_oracle(a, d, m, NEAR + 64, kind)
+    handles = [iet_stream(si.params), mechanical_stream(si)]
+    open_blocks = {}  # handle index -> (its blocks() iterator, letters handed on)
+    for op, *args in reads:
+        if op == "iet_stream":
+            handles.append(iet_stream(si.params))
+            continue
+        if op == "mechanical_stream":
+            handles.append(mechanical_stream(si))
+            continue
+        k = args[0] % len(handles)
+        h = handles[k]
+        if op == "prefix":
+            assert h.prefix(args[1]) == want[: args[1]]
+        elif op == "near":
+            i, j = args[1], args[1] + args[2]
+            assert h.slice(i, j) == want[i:j]
+        elif op == "far":
+            i, j = args[1], args[1] + args[2]
+            assert h.slice(i, j) == mechanical_letters_at(a, d, m, kind, range(i, j))
+        elif op == "letter":
+            assert h[args[1]] == want[args[1]]
+        elif op == "blocks":
+            it, done = open_blocks.get(k) or (h.blocks(), 0)
+            for _ in range(args[1]):
+                if done + 256 > len(want):
+                    break
+                block = next(it)
+                assert 0 < len(block) <= 256 and block == want[done : done + len(block)]
+                done += len(block)
+            open_blocks[k] = (it, done)
+        else:  # apply
+            image0, image1, n = args[1:]
+            image = BinaryMorphism(image0, image1).apply(h).prefix(n)
+            assert image == substitute(image0, image1, want[:n])[:n]
+
+
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """Counts the runs of the 2iet engine that streams start."""
+    runs = []
+    engine = words._iet_letters
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(words, "_iet_letters", counted)
+    return runs
+
+
+def test_one_engine_run_per_vector_and_one_per_seek(engine_runs):
+    # the four reads of one op of the streams benchmark, on one vector
+    si = SlopeIntercept(SQRT3_OVER_3, QuadExt(1, 0, 3))
+    v, n = si.params, 1500
+    word = mechanical(si, n)
+    assert iet_code(params_of(si), n) == word
+    phi = compose(parse_genword("DGG'D"))
+    assert phi.apply(iet_stream(v)).prefix(n) == phi.apply(word)[:n]
+    far = mechanical_stream(si).slice(n, n + 64)  # next to the buffer: it extends
+    assert len(engine_runs) == 1
+    assert far == iet_code(v, n + 64)[n:] and len(engine_runs) == 1
+    # a seek runs an engine of its own and leaves the shared buffer a prefix
+    assert iet_stream(v).slice(10**6, 10**6 + 64) == mechanical_letters_at(
+        _triple(si.alpha), _triple(si.delta), si.alpha.m, LOWER, range(10**6, 10**6 + 64))
+    assert len(engine_runs) == 2 and engine_runs[1][2] == 10**6
+    assert mechanical(si, 3000) == iet_code(v, 3000) and len(engine_runs) == 2
+    # an equal vector is another vector, with a source of its own
+    assert iet_code(ParamVector(v.l0, v.l1, v.rho), 100) == word[:100]
+    assert len(engine_runs) == 3
+
+
+def test_dropped_vectors_free_their_letters_without_gc():
+    # the engine frame holds the vector's pairs, not the vector, so nothing
+    # cycles back to the buffer: refcounting alone frees it
+    def read(k):
+        si = SlopeIntercept(_frac(SQRT3_OVER_3 * (k + 2)), QuadExt(k, 0, 9))
+        assert len(mechanical(si, 10**5)) == 10**5
+        blocks = iet_stream(si.params).blocks()
+        next(blocks)  # a handle and a reader left open, dropped with the vector
+        return si, blocks
+
+    read(0)  # first-use state of the modules
+    gc.disable()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        kept = [read(k) for k in range(1, 6)]
+        held = tracemalloc.get_traced_memory()[0] - baseline
+        del kept
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held > 5 * 10**5  # five buffers of 10^5 letters while the vectors live
+    assert left < 20_000
+
+
+def test_copies_of_a_vector_start_with_a_fresh_source():
+    v = ParamVector(1 - FIB_ALPHA, FIB_ALPHA, QuadExt(1, 0, 3), UPPER)
+    s = iet_stream(v)
+    word = s.prefix(700)
+    for y in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert y == v and hash(y) == hash(v) and repr(y) == repr(v)
+        assert "_letters" not in repr(y) and y.pairs == v.pairs
+        t = iet_stream(y)
+        assert t._buffer is not s._buffer and len(t._buffer) == 0
+        assert t.prefix(700) == word
+    assert iet_stream(v)._buffer is s._buffer
+
+
+def test_a_read_interrupted_in_the_engine_leaves_iet_stream_working(monkeypatch):
+    si = SlopeIntercept(SQRT3_OVER_3, QuadExt(1, 0, 3), UPPER)
+    v, n = si.params, 4000
+    want = mechanical_oracle(_triple(si.alpha), _triple(si.delta), 3, n, UPPER)
+    s = iet_stream(v)
+    assert s.prefix(100) == want[:100]
+    sign, calls = words.surd_sign, []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return sign(*args)
+
+    monkeypatch.setattr(words, "surd_sign", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        s.prefix(n)
+    monkeypatch.undo()
+    # the interrupted source has ended; the next handle reads a new one
+    assert iet_stream(v).prefix(n) == want
+    assert mechanical(si, n) == want and mechanical_stream(si).slice(n - 64, n) == want[-64:]
