@@ -3,6 +3,8 @@ representation: compose and factor morphisms, decide matrix membership,
 compute fixed-point parameters, enumerate conjugates, and build the
 morphism fixing the square root of a primitive morphism's fixed point."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CyclicMorphismError,
     DomainError,
@@ -75,4 +77,5 @@ from .sqroot import (
     square_root_stream,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are attributes too, but not names to import
+__all__ = [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType)]

@@ -52,7 +52,6 @@ def dominant_eigen(word: GenWord) -> EigenData:
     g = math.gcd(m1, m2)
     r = f1 * f2 * g  # sqrt(p^2-4) = r sqrt(m)
     m = (m1 // g) * (m2 // g)
-    assert m >= 2, "primitive trace must give an irrational unit"
     lam = QuadExt(p, r, 2, m)
     # the top block row with x + y = 1 gives x = b/(b + lam - a), y = 1 - x,
     # and z = (f + (e-f)x)/(lam - 1); the conjugates of 2(b + lam - a) =
@@ -63,7 +62,6 @@ def dominant_eigen(word: GenWord) -> EigenData:
     y = QuadExt(n - 2 * b * u, 2 * b * r, n, m)
     za, zb = f * n + 2 * b * u * (e - f), -2 * b * r * (e - f)  # n (f + (e-f)x)
     z = QuadExt(2 * (za * w - zb * r * m), 2 * (zb * w - za * r), n * (w * w - r * r * m), m)
-    assert x.sign() > 0 and y.sign() > 0 and 0 <= z <= 1
     boundary = UPPER if z == 1 else LOWER
     return EigenData(lam, ParamVector(x, y, z, boundary), m)
 
@@ -82,6 +80,8 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     """Prefix of the fixed point of phi starting with first_letter, grown by
     iterating phi; requires phi(first_letter) to start with that letter and
     to be expanding."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
     stuck = f"no expanding fixed point starts with {first_letter!r} for {phi}"
     img = phi.apply(first_letter)
     if not img.startswith(first_letter) or len(img) < 2:

@@ -49,7 +49,7 @@ def square_free_split(n: int) -> tuple[int, int]:
 
 
 def surd_sign(a: int, b: int, m: int | None) -> int:
-    """Sign of a + b*sqrt(m) for integers a, b and a square-free m >= 2;
+    """Sign of a + b*sqrt(m) for integers a, b and a non-square m >= 2;
     m is not read when b == 0."""
     if b == 0:
         return (a > 0) - (a < 0)
@@ -60,7 +60,7 @@ def surd_sign(a: int, b: int, m: int | None) -> int:
     if a < 0 and b < 0:
         return -1
     # opposite signs reduce to comparing a*a with b*b*m; equality is
-    # impossible while m is square-free >= 2
+    # impossible while m is no square
     d = a * a - b * b * m
     assert d != 0
     s = (d > 0) - (d < 0)
@@ -172,7 +172,7 @@ class QuadExt(_Value):
         if b == 0:
             m = None
         elif m is None or m < 2 or math.isqrt(m) ** 2 == m:
-            raise ValueError("irrational part needs a square-free radicand >= 2")
+            raise ValueError("irrational part needs a non-square radicand >= 2")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)

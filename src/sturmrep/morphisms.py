@@ -292,7 +292,7 @@ def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:
     if phi.is_cyclic():
         raise CyclicMorphismError(f"cyclic morphism {phi}")
     i0, i1 = phi.image0, phi.image1
-    if not i0 or not i1 or i0[-1] != i1[-1]:
+    if i0[-1] != i1[-1]:
         return None
     x = i0[-1]
     return BinaryMorphism(x + i0[:-1], x + i1[:-1])
@@ -303,17 +303,18 @@ def rightmost_conjugate(phi: BinaryMorphism) -> BinaryMorphism:
 
     Each step rotates the shared final letter to the front of both images,
     so iterating is cyclic rotation; the closed form rotates once by the
-    number of steps until the final letters disagree.
+    number of steps until the final letters disagree.  For images of n0
+    and n1 letters it is below n0 + n1 - gcd(n0, n1): by Fine and Wilf a
+    word that long with periods n0 and n1 has period gcd(n0, n1), and
+    both images would be powers of one word, so phi would be cyclic.
     """
     if phi.is_cyclic():
         raise CyclicMorphismError(f"cyclic morphism {phi}")
     i0, i1 = phi.image0, phi.image1
     n0, n1 = len(i0), len(i1)
     steps = 0
-    while steps < n0 + n1 and i0[n0 - 1 - steps % n0] == i1[n1 - 1 - steps % n1]:
+    while i0[n0 - 1 - steps % n0] == i1[n1 - 1 - steps % n1]:
         steps += 1
-    if steps >= n0 + n1:
-        raise CyclicMorphismError(f"conjugation did not settle for {phi}")
     r0, r1 = steps % n0, steps % n1
     return BinaryMorphism(i0[n0 - r0 :] + i0[: n0 - r0], i1[n1 - r1 :] + i1[: n1 - r1])
 

@@ -213,7 +213,7 @@ def check_membership(matrix: Mat3) -> Membership:
         return Membership(False, "-C<=CF-DE")
     if not t < d:
         return Membership(False, "CF-DE<D")
-    # equivalent companion bound, implied for accepted matrices
+    # equivalent companion bound, implied for members; decompose relies on it
     assert -a < a * f - b * e <= b
     return Membership(True)
 
@@ -224,20 +224,28 @@ def decompose(matrix: Mat3) -> RunWord:
 
     Euclid's algorithm on the block rows, one quotient step per run while
     B > 0 and C > 0:
-      A>=C, B>=D   ->  q = min(A//C, B//D), i = min(q, E//C, F//D):
-                       G'^i G^(q-i); row 0 loses q*row 1, row 2 i*row 1
-      A<=C, B<=D   ->  the mirror step, D^i D'^(q-i)
+      B>=D  ->  q = B//D, i = min(q, F//D): G'^i G^(q-i);
+                row 0 loses q*row 1, row 2 i*row 1
+      B<D   ->  the mirror step, q = C//A, i = min(q, E//A): D^i D'^(q-i)
     and then one last run:
-      C = 0        ->  G^(B-F) G'^F
-      B = 0        ->  D'^(C-E) D^E
+      C = 0 ->  G^(B-F) G'^F
+      B = 0 ->  D'^(C-E) D^E
     Within a run G' precedes G and D precedes D', so the word is the one
-    that peeling a single generator at a time would give.  Each minimum is
-    taken by comparisons: q = A//C is lowered to B//D when B < q*D, and i
-    is clamped the same way against E//C and F//D.  A step leaves A < C or
-    B < D, so G-steps and D-steps alternate and the runs are maximal once
-    empty ones are dropped.  The word holds one (generator, exponent) pair
-    per run, so its size follows the entries' bits; iterating it or taking
-    its len raises OverflowError past sys.maxsize generators.
+    that peeling one generator at a time gives: q = min(A//C, B//D) and
+    i = min(q, E//C, F//D) in a G-step, the mirror minima in a D-step.
+    Every step leaves a member, and its inequalities settle each minimum:
+      AD - BC = 1   gives B/D < A/C and C/A < D/B, so B//D <= A//C and
+                    C//A <= D//B: q takes one division;
+      AD - BC = 1   with C > 0: B >= D forces AD >= 1 + CD, so A > C, and
+                    B < D forces AD <= 1 + (D-1)C, so A <= C: B >= D picks
+                    the step, and q >= 1 in both;
+      CF - DE < D   gives kCD <= CF < (E+1)D for k = F//D, so F//D <= E//C;
+      AF - BE > -A  gives kAB <= BE < (F+1)A for k = E//A, so E//A <= F//B.
+    A step leaves A < C or B < D, so G-steps and D-steps alternate and the
+    runs are maximal once empty ones are dropped.  The word holds one
+    (generator, exponent) pair per run, so its size follows the entries'
+    bits; iterating it or taking its len raises OverflowError past
+    sys.maxsize generators.
     """
     verdict = check_membership(matrix)
     if not verdict:
@@ -245,41 +253,25 @@ def decompose(matrix: Mat3) -> RunWord:
     runs: list[tuple[Generator, int]] = []
     a, b, c, d, e, f = matrix.named()
     while b and c:
-        if a >= c and b >= d:
-            q = a // c
-            if b < q * d:
-                q = b // d
-            i = q
-            if e < i * c:
-                i = e // c
-            if f < i * d:
-                i = f // d
+        if b >= d:
+            q, i = b // d, f // d
+            if i > q:
+                i = q
             if i:
                 runs.append((GT, i))
             if q > i:
                 runs.append((G, q - i))
-            a -= q * c
-            b -= q * d
-            e -= i * c
-            f -= i * d
+            a, b, e, f = a - q * c, b - q * d, e - i * c, f - i * d
         else:
-            assert a <= c and b <= d, "block dichotomy violated"
-            q = c // a
-            if d < q * b:
-                q = d // b
-            i = q
-            if e < i * a:
-                i = e // a
-            if f < i * b:
-                i = f // b
+            assert a <= c, "block dichotomy violated"
+            q, i = c // a, e // a
+            if i > q:
+                i = q
             if i:
                 runs.append((D, i))
             if q > i:
                 runs.append((DT, q - i))
-            c -= q * a
-            d -= q * b
-            e -= i * a
-            f -= i * b
+            c, d, e, f = c - q * a, d - q * b, e - i * a, f - i * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
         if b > f:

@@ -96,6 +96,8 @@ class SquareDecomposition(_Value):
 def square_decomposition(stream: PrefixStream, blocks: int) -> SquareDecomposition:
     """The first blocks, uncapped for a stream with a parameter vector
     (every position begins a square, Saari 2010); see iter_square_roots."""
+    if blocks < 0:
+        raise ValueError("blocks must be non-negative")
     it = iter_square_roots(stream)
     return SquareDecomposition(tuple(next(it) for _ in range(blocks)))
 

@@ -157,6 +157,12 @@ def test_iterate_fixed_point_rejects_a_stuck_prefix():
         iterate_fixed_point(phi, "0", 5)
 
 
+def test_iterate_fixed_point_rejects_a_negative_length():
+    # s[:n] would give "10" for n = -3
+    with pytest.raises(ValueError, match="non-negative"):
+        iterate_fixed_point(compose(DG2), "1", -3)
+
+
 def _primitive(word) -> bool:
     return bool({G, GT} & set(word)) and bool({D, DT} & set(word))
 

@@ -179,7 +179,7 @@ def test_normalize_radicand():
 def test_perfect_square_radicand_is_rejected(m):
     # sqrt(4)/3 is the rational 2/3; as an irrational value it would compare
     # unequal to 2/3 and break the sign test that assumes sqrt(m) irrational
-    with pytest.raises(ValueError, match="square-free radicand >= 2"):
+    with pytest.raises(ValueError, match="non-square radicand >= 2"):
         QuadExt(0, 1, 3, m)
     r = math.isqrt(m)
     assert QuadExt.from_radicand(0, 1, 3, m) == QuadExt(r, 0, 3)

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import time
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -337,6 +339,26 @@ def test_rightmost_matches_step_iteration(w):
     assert rightmost_conjugate(phi) == cur
     assert rightmost_conjugate(cur) == cur  # idempotent
     assert cur.image0[-1] != cur.image1[-1]
+
+
+def test_rightmost_conjugate_of_every_short_morphism_within_fine_wilf():
+    # by Fine and Wilf, images that do not commute share at most
+    # n0 + n1 - gcd(n0, n1) - 1 final letters read cyclically
+    words = ["".join(p) for n in range(1, 7) for p in product("01", repeat=n)]
+    morphisms = [BinaryMorphism(u, v) for u in words for v in words]
+    morphisms = [phi for phi in morphisms if not phi.is_cyclic()]
+    assert len(morphisms) == 15666
+    at_bound = 0
+    for phi in morphisms:
+        n0, n1 = len(phi.image0), len(phi.image1)
+        bound = n0 + n1 - gcd(n0, n1) - 1
+        cur, steps = phi, 0
+        while (nxt := right_conjugate_step(cur)) is not None:
+            cur, steps = nxt, steps + 1
+        assert steps <= bound
+        assert rightmost_conjugate(phi) == cur
+        at_bound += steps == bound
+    assert at_bound == 210
 
 
 def test_conjugates_counts():

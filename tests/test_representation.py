@@ -270,6 +270,22 @@ def test_decompose_returns_maximal_runs(w):
     assert again is not word and again == word and hash(again) == hash(word)
 
 
+def test_decompose_matches_peeling_oracle_on_every_small_member():
+    # every block with entries <= 12 and every third row its cone admits,
+    # so each quotient and clamp case of a Euclid step meets small values
+    members = [
+        Mat3(((a, b, 0), (c, d, 0), (e, f, 1)))
+        for a, b, c, d in product(range(13), repeat=4)
+        if a * d - b * c == 1
+        for e in range(a + c)
+        for f in range(b + d)
+        if -c <= c * f - d * e < d
+    ]
+    assert len(members) == 3191
+    for m in members:
+        assert tokens(decompose(m)) == decompose_by_peeling(m.rows)
+
+
 def decompose_traced(matrix):
     """(word, seconds, tracemalloc peak in bytes) of one decompose."""
     tracemalloc.start()

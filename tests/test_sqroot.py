@@ -87,6 +87,9 @@ def test_scan_bound_error():
     # Thue-Morse has no square prefix at all
     with pytest.raises(ScanBoundError):
         next(iter_square_roots(PrefixStream(_thue_morse()), scan_bound=64))
+    # and so has no root stream; it is scanned at the default bound
+    with pytest.raises(ScanBoundError, match="root length <= 10000"):
+        square_root_stream(PrefixStream(_thue_morse())).prefix(1)
     # the worst case of the scan: every root length up to the bound; a
     # window that grew by one block per miss took 30 s at 3*10^4
     start = time.perf_counter()
@@ -320,6 +323,9 @@ def test_square_decomposition_object():
     blocks = "".join(w + w for w in dec.roots)
     assert blocks == fixed_point_stream(DG2).prefix(len(blocks))
     assert set(dec.roots) == {"10", "1", "01", "0110101"}
+    # no roots at all would read as a decomposition that stopped early
+    with pytest.raises(ValueError, match="non-negative"):
+        square_decomposition(fixed_point_stream(DG2), -1)
 
 
 def test_sqrt_fixing_morphism_dg2():
@@ -439,6 +445,22 @@ def test_sqrt_morphism_of_every_primitive_word(word):
     want = roots.prefix(1500)
     assert result.morphism.apply(roots).prefix(1500) == want
     assert PrefixStream(iter_square_roots(fixed_point_stream(word))).prefix(1500) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from((G, GT, D, DT)), min_size=2, max_size=8).filter(_primitive),
+    st.lists(st.sampled_from((G, GT, D, DT)), min_size=1, max_size=6),
+)
+def test_square_root_stream_of_a_morphic_image_matches_naive_scan(w, u):
+    # a morphic image has no parameter vector, so its roots come from the scan
+    image = compose(u).apply(fixed_point_stream(tuple(w)))
+    assert image.params is None
+    text, roots, pos = image.prefix(4000), [], 0
+    while sum(map(len, roots)) < 300:
+        roots.append(naive_shortest_square_root(text, pos))
+        pos += 2 * len(roots[-1])
+    assert square_root_stream(image).prefix(300) == "".join(roots)[:300]
 
 
 def test_sqrt_theorem_properties_random():

@@ -145,3 +145,27 @@ def test_quad_ext_pickles_and_stays_immutable():
             x.a = 0
         with pytest.raises(AttributeError):
             del x.b
+
+
+# the records' operators and checks that no other test reaches: (call, the
+# value it returns or the exception it raises)
+BRANCHES = {
+    "QuadExt-neg": (lambda: -QuadExt(1, 2, 3, 5), QuadExt(-1, -2, 3, 5)),
+    "QuadExt-bool-zero": (lambda: bool(QuadExt(0, 0, 7)), False),
+    "QuadExt-bool-surd": (lambda: bool(R2 - 1), True),
+    "YasutomiReport-bool": (lambda: bool(YasutomiReport(False, True, False, R3, R3)), False),
+    "Mat2-str": (lambda: str(Mat2(1, 2, 3, 4)), "[[1,2],[3,4]]"),
+    "SlopeIntercept-kind": (lambda: SlopeIntercept(R2 - 1, 0, kind="x"), ValueError),
+    "ParamVector-boundary": (lambda: ParamVector(1, R2, 0, boundary="x"), ValueError),
+    "SlopeIntercept-str-slope": (lambda: SlopeIntercept("x", 0), TypeError),
+}
+
+
+@pytest.mark.parametrize("call, want", BRANCHES.values(), ids=BRANCHES.keys())
+def test_operators_and_argument_checks(call, want):
+    if isinstance(want, type) and issubclass(want, Exception):
+        with pytest.raises(want):
+            call()
+    else:
+        got = call()
+        assert got == want and type(got) is type(want)
