@@ -77,26 +77,45 @@ def fixed_point_stream(word: GenWord) -> PrefixStream:
 
 
 def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
-    """Prefix of the fixed point of phi starting with first_letter, grown by
-    iterating phi; requires phi(first_letter) to start with that letter and
-    to be expanding."""
+    """Prefix of the fixed point of phi starting with first_letter ("0" or
+    "1"), grown by iterating phi; requires phi(first_letter) to start with
+    that letter and to be expanding.
+
+    The letters are mapped by psi = phi^(2^k), squared while both images
+    are non-empty and the longer has under 64 letters, so that each mapped
+    letter copies a block; a square of images under 64 letters stays under
+    64^2.  A round maps no more letters than the longer image of psi takes
+    to n, so the prefix ends under n + 4096 letters, or under n + the
+    longer image of phi where phi is not squared.  psi fixes the same word:
+    phi(a) begins with a, so phi^(m+1)(a) begins with phi^m(a), and the
+    words psi^m(a) = phi^(2^k m)(a) are a subsequence of these prefixes.
+    With an empty image phi is kept, so that a prefix with phi(s) = s is
+    still found stuck.
+    """
     if n < 0:
         raise ValueError("length must be non-negative")
-    stuck = f"no expanding fixed point starts with {first_letter!r} for {phi}"
-    img = phi.apply(first_letter)
-    if not img.startswith(first_letter) or len(img) < 2:
-        raise DomainError(stuck)
-    # s = phi(s[:i]): a round maps the letters s[i:j] the last one added, up
-    # to where their shortest images reach n; with none left (i == j) s is stuck
-    shortest = min(len(phi.image0), len(phi.image1)) or 1
-    s, i = img, 1
-    while len(s) < n:
-        j = min(len(s), i - (len(s) - n) // shortest)
-        if i == j:
-            raise DomainError(stuck)
-        s += phi.apply(s[i:j])
-        i = j
-    return s[:n]
+    if first_letter not in ("0", "1"):
+        raise ValueError("first letter must be '0' or '1'")
+    s = phi.apply(first_letter)
+    if s.startswith(first_letter) and len(s) >= 2:
+        psi = phi
+        while psi.image0 and psi.image1 and max(len(psi.image0), len(psi.image1)) < 64:
+            psi = psi * psi
+        # s = psi(s[:i]): a round maps the letters s[i:j] the last one added,
+        # up to where their longest images would reach n, so s ends with
+        # under n + longest letters; with none left (i == j) s is stuck,
+        # and the loop breaks to the raise
+        longest = max(len(psi.image0), len(psi.image1))
+        s, i = psi.apply(first_letter), 1
+        while len(s) < n:
+            j = min(len(s), i - (len(s) - n) // longest)
+            if i == j:
+                break
+            s += psi.apply(s[i:j])
+            i = j
+        else:
+            return s[:n]
+    raise DomainError(f"no expanding fixed point starts with {first_letter!r} for {phi}")
 
 
 RHO_EQ_L0_PLUS_L1 = "rho_eq_l0_plus_l1"

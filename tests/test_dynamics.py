@@ -1,9 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sturmrep
 from sturmrep.dynamics import (
@@ -36,7 +37,7 @@ from sturmrep.words import (
     iet_stream,
 )
 
-from oracles import eigen_by_field_ops, fixed_point_by_iteration, square_free_oracle
+from oracles import eigen_by_field_ops, fixed_point_by_iteration, square_free_oracle, substitute
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 DG2 = parse_genword("DGG")
@@ -161,6 +162,77 @@ def test_iterate_fixed_point_rejects_a_negative_length():
     # s[:n] would give "10" for n = -3
     with pytest.raises(ValueError, match="non-negative"):
         iterate_fixed_point(compose(DG2), "1", -3)
+
+
+@pytest.mark.parametrize("first", ("01", "", "x", "0 "))
+def test_iterate_fixed_point_rejects_a_first_letter_that_is_not_one_letter(first):
+    # "01" gave 010010101001..., where the fixed point of GD is 010010100100...
+    with pytest.raises(ValueError, match="first letter"):
+        iterate_fixed_point(compose(parse_genword("GD")), first, 30)
+
+
+def _iterated_or_none(image0: str, image1: str, first: str, n: int) -> str | None:
+    """fixed_point_by_iteration, or None where iterating from first never
+    reaches n letters.  With phi(a) = a v, phi^(m+1)(a) = phi^m(a) phi^m(v).
+    If phi(v) is non-empty, v holds a, which every phi^m(a) keeps, or v is
+    a power of b and phi(b) holds a or b, which its powers keep; so the
+    prefix grows for ever, and it is stuck exactly when phi(phi(a)) =
+    phi(a)."""
+    once = substitute(image0, image1, first)
+    if not once.startswith(first) or len(once) < 2:
+        return None
+    if substitute(image0, image1, once) == once and n > len(once):
+        return None
+    return fixed_point_by_iteration(image0, image1, first, n)
+
+
+images = st.text(alphabet="01", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(images, images, st.sampled_from("01"), st.integers(0, 5000))
+@example("01", "1", "0", 5000)  # expanding, not primitive: 0 1^m after m rounds
+@example("010", "", "0", 5000)
+@example("01", "", "0", 3)
+def test_iterate_fixed_point_on_any_morphism_matches_the_oracle(image0, image1, first, n):
+    want = _iterated_or_none(image0, image1, first, n)
+    phi = BinaryMorphism(image0, image1)
+    if want is None:
+        with pytest.raises(DomainError, match="no expanding fixed point"):
+            iterate_fixed_point(phi, first, n)
+    else:
+        assert iterate_fixed_point(phi, first, n) == want
+
+
+def _traced_iteration(phi, first, n):
+    tracemalloc.start()
+    try:
+        got = iterate_fixed_point(phi, first, n)
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("text", ("GD", "DGG"))
+def test_iterate_fixed_point_to_a_million_letters(text):
+    # GD has the smallest eigenvalue of the monoid, phi^2 for the golden
+    # ratio phi, so its images grow slowest; peaks ran about 2 bytes per letter
+    word = parse_genword(text)
+    n = 10**6
+    stream = fixed_point_stream(word)
+    want = stream.prefix(n)
+    got, peak = _traced_iteration(compose(word), stream[0], n)
+    assert got == want
+    assert peak < 6 * n
+
+
+def test_iterate_fixed_point_ends_near_n_when_one_image_outgrows_the_other():
+    # psi = phi^4 maps 0 to 781 letters and 1 to "1": rounds sized by the
+    # shorter image wrote about 3 * 10^8 letters for 10^6
+    n = 10**6
+    got, peak = _traced_iteration(BinaryMorphism("000001", "1"), "0", n)
+    assert got == fixed_point_by_iteration("000001", "1", "0", n)
+    assert peak < 6 * n
 
 
 def _primitive(word) -> bool:

@@ -130,6 +130,36 @@ def test_format_genword_matches_the_per_token_join(word):
     assert format_genword(word) == "".join(g.token for g in word)
 
 
+@st.composite
+def composable_run_words(draw):
+    """RunWords whose images stay under 10^5 letters: a run of k multiplies
+    the total length by at most k + 1, so each exponent is drawn within
+    what the runs before it leave of that budget."""
+    gens = draw(st.lists(st.sampled_from(ALL), max_size=8))
+    gens = [g for i, g in enumerate(gens) if i == 0 or g != gens[i - 1]]
+    pairs, size = [], 2
+    for g in gens:
+        k = draw(st.integers(1, max(1, min(300, 10**5 // size - 1))))
+        pairs.append((g, k))
+        size *= k + 1
+    return RunWord(tuple(pairs))
+
+
+@given(composable_run_words())
+def test_compose_of_runs_matches_the_per_token_loop(word):
+    assert compose(word) == compose(tuple(word))
+
+
+def test_compose_of_a_long_run_is_one_repetition():
+    # a concatenation per generator copies the growing image 10^6 times
+    k = 10**6
+    t0 = time.perf_counter()
+    phi = compose(RunWord(((D, 1), (G, k), (D, 1))))
+    assert time.perf_counter() - t0 < 1
+    y = "10" * k + "1"
+    assert phi == BinaryMorphism(y + "10", y)
+
+
 def test_format_genword_of_a_long_run_is_one_repetition():
     t0 = time.perf_counter()
     text = format_genword(RunWord(((DT, 10**7),)))
@@ -270,6 +300,13 @@ def test_morphism_images_must_be_binary_words(bad):
     for images in ((bad, "1"), ("0", bad), (bad, bad)):
         with pytest.raises(ValueError, match="images must be binary words"):
             BinaryMorphism(*images)
+
+
+@pytest.mark.parametrize("images", [(["0"], ["1"]), (("0",), ("1",)), (b"0", b"1"), ("0", ["1"])])
+def test_morphism_images_must_be_str(images):
+    # lists and tuples of "0" and "1" have the counts of a binary word
+    with pytest.raises(TypeError):
+        BinaryMorphism(*images)
 
 
 def test_empty_images_are_accepted():
