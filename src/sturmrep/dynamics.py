@@ -19,6 +19,7 @@ from .morphisms import (
     GT,
     GenWord,
     format_genword,
+    is_primitive_block,
 )
 from .representation import rep
 # params_of is re-exported: sturmrep.dynamics.params_of stays public
@@ -28,8 +29,9 @@ from .words import LOWER, UPPER, ParamVector, PrefixStream, iet_stream, params_o
 def image_params(word: GenWord, v: ParamVector) -> ParamVector:
     """Parameter vector of the image sequence: the representation matrix
     applied to the vector, boundary kind unchanged."""
-    x, y, z = rep(word).apply((v.l0, v.l1, v.rho))
-    return ParamVector(x, y, z, v.boundary)
+    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
+    pairs = [(p * l0a + q * l1a + t * xa, p * l0b + q * l1b + t * xb) for p, q, t in rep(word).rows]
+    return ParamVector._from_pairs((m, *pairs), v.den, v.boundary)
 
 
 class EigenData(_Value):
@@ -40,11 +42,9 @@ class EigenData(_Value):
 
 
 def dominant_eigen(word: GenWord) -> EigenData:
-    matrix = rep(word)
-    block = matrix.block()
-    if not block.is_primitive():
+    a, b, c, d, e, f = rep(word).named()
+    if not is_primitive_block(a, b, c, d):
         raise NotPrimitiveError(f"{format_genword(word) or 'identity'} is not primitive")
-    a, b, c, d, e, f = matrix.named()
     p = a + d
     # eigenvalue root of X^2 - pX + 1; radicand p^2-4 = (p-2)(p+2)
     f1, m1 = square_free_split(p - 2)
@@ -55,15 +55,17 @@ def dominant_eigen(word: GenWord) -> EigenData:
     lam = QuadExt(p, r, 2, m)
     # the top block row with x + y = 1 gives x = b/(b + lam - a), y = 1 - x,
     # and z = (f + (e-f)x)/(lam - 1); the conjugates of 2(b + lam - a) =
-    # u + r sqrt(m) and 2(lam - 1) = w + r sqrt(m) clear the denominators
+    # u + r sqrt(m) and 2(lam - 1) = w + r sqrt(m) clear the denominators,
+    # so x, y and z are pairs over n (w^2 - r^2 m)
     u, w = 2 * b - 2 * a + p, p - 2
-    n = u * u - r * r * m
-    x = QuadExt(2 * b * u, -2 * b * r, n, m)
-    y = QuadExt(n - 2 * b * u, 2 * b * r, n, m)
+    n, nw = u * u - r * r * m, w * w - r * r * m
     za, zb = f * n + 2 * b * u * (e - f), -2 * b * r * (e - f)  # n (f + (e-f)x)
-    z = QuadExt(2 * (za * w - zb * r * m), 2 * (zb * w - za * r), n * (w * w - r * r * m), m)
-    boundary = UPPER if z == 1 else LOWER
-    return EigenData(lam, ParamVector(x, y, z, boundary), m)
+    za, zb = 2 * (za * w - zb * r * m), 2 * (zb * w - za * r)
+    den = n * nw
+    x = (2 * b * u * nw, -2 * b * r * nw)
+    y = ((n - 2 * b * u) * nw, 2 * b * r * nw)
+    boundary = UPPER if zb == 0 and za == den else LOWER
+    return EigenData(lam, ParamVector._from_pairs((m, x, y, (za, zb)), den, boundary), m)
 
 
 def fixed_point_params(word: GenWord) -> ParamVector:
@@ -82,11 +84,12 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     that letter and to be expanding.
 
     The letters are mapped by psi = phi^(2^k), squared while both images
-    are non-empty and the longer has under 64 letters, so that each mapped
-    letter copies a block; a square of images under 64 letters stays under
-    64^2.  A round maps no more letters than the longer image of psi takes
-    to n, so the prefix ends under n + 4096 letters, or under n + the
-    longer image of phi where phi is not squared.  psi fixes the same word:
+    are non-empty and the longer has under min(64, n) letters, so that each
+    mapped letter copies a block and a prefix no longer than an image pays
+    for no square; a square of images under 64 letters stays under 64^2.
+    A round maps no more letters than the longer image of psi takes to n,
+    so the prefix ends under n + 4096 letters, or under n + the longer
+    image of phi where phi is not squared.  psi fixes the same word:
     phi(a) begins with a, so phi^(m+1)(a) begins with phi^m(a), and the
     words psi^m(a) = phi^(2^k m)(a) are a subsequence of these prefixes.
     With an empty image phi is kept, so that a prefix with phi(s) = s is
@@ -99,7 +102,7 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     s = phi.apply(first_letter)
     if s.startswith(first_letter) and len(s) >= 2:
         psi = phi
-        while psi.image0 and psi.image1 and max(len(psi.image0), len(psi.image1)) < 64:
+        while psi.image0 and psi.image1 and max(len(psi.image0), len(psi.image1)) < min(64, n):
             psi = psi * psi
         # s = psi(s[:i]): a round maps the letters s[i:j] the last one added,
         # up to where their longest images would reach n, so s ends with

@@ -192,10 +192,6 @@ class QuadExt(_Value):
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         return surd_sign(self.a, self.b, self.m)
 

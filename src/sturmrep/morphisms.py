@@ -127,11 +127,7 @@ class Mat2(_Value):
         return self.a, self.b, self.c, self.d
 
     def is_primitive(self) -> bool:
-        # for a 2x2 non-negative matrix a positive square is the sharp test
-        if min(self.entries()) < 0:
-            return False
-        sq = self * self
-        return min(sq.entries()) > 0
+        return is_primitive_block(self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -140,6 +136,12 @@ class Mat2(_Value):
     def parse(cls, text: str) -> Mat2:
         rows = parse_int_rows(text, 2)
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+
+
+def is_primitive_block(a: int, b: int, c: int, d: int) -> bool:
+    """Whether the integer matrix (a b; c d) is primitive: for a 2x2
+    non-negative matrix a positive square is the sharp test."""
+    return min(a, b, c, d) >= 0 and min(a * a + b * c, b * (a + d), c * (a + d), d * d + b * c) > 0
 
 
 def parse_int_rows(text: str, size: int) -> list[list[int]]:

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import DomainError, NotPrimitiveError, ScanBoundError
 from .exactfield import _Value
-from .morphisms import GenWord, compose, format_genword
+from .morphisms import GenWord, compose, format_genword, is_primitive_block
 from .representation import Mat3, decompose, rep
 from .words import DEFAULT_SCAN_BOUND, ParamVector, PrefixStream, iet_stream
 
@@ -79,8 +79,11 @@ def square_root_stream(stream: PrefixStream) -> PrefixStream:
     if v is None:
         return PrefixStream(iter_square_roots(stream))
     # psi moves rho, not the intercept: for the upper kind rho = l0+l1
-    # stands for intercept 0
-    return iet_stream(ParamVector(v.l0, v.l1, (v.rho + v.l0) / 2, v.boundary))
+    # stands for intercept 0.  (l0, l1, (rho+l0)/2) over den is
+    # (2 l0, 2 l1, rho+l0) over 2 den
+    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
+    pairs = (m, (2 * l0a, 2 * l0b), (2 * l1a, 2 * l1b), (xa + l0a, xb + l0b))
+    return iet_stream(ParamVector._from_pairs(pairs, 2 * v.den, v.boundary))
 
 
 class SquareDecomposition(_Value):
@@ -134,7 +137,7 @@ def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
     AGL(2,2) = S4, whose order is at most 4, so k <= 4.
     """
     matrix = rep(word)
-    if not matrix.block().is_primitive():
+    if not is_primitive_block(*matrix.named()[:4]):
         raise NotPrimitiveError(
             f"{format_genword(word) or 'identity'} is not primitive"
         )

@@ -7,10 +7,13 @@ pairs with exact sign tests and floors, never floats.  The runs of the
 repeated letter code the induced exchange (one Euclid step, or Rauzy
 induction), so the engine goes down level by level, composing the run
 words, until a run holds 64 letters or more; there one sign test decides a
-run.  Each parameter vector holds one run of the engine, which all its
-streams read; a seek starts the orbit at any letter after one exact floor.  A
-mechanical sequence of slope alpha and intercept delta is the coding of the
-parameter vector (1-alpha, alpha, delta), see params_of.
+run.  A parameter vector is those integer pairs, checked once: slopes
+and intercepts, eigenvectors and the maps on vectors build it from pairs,
+and its QuadExt fields only when read.  Each vector holds one run of the
+engine, which all its streams read; a seek starts the orbit at any letter
+after one exact floor.  A mechanical sequence of slope alpha and intercept
+delta is the coding of the parameter vector (1-alpha, alpha, delta), see
+params_of.
 """
 
 from __future__ import annotations
@@ -115,10 +118,10 @@ def _as_field(x) -> QuadExt:
 class SlopeIntercept(_Value):
     """Slope alpha in (0,1), irrational; intercept delta in [0,1) for the
     lower sequence, [0,1] for the upper one.  params is the ParamVector of
-    its mechanical sequence (see params_of), built once after the checks,
-    so a slope and an intercept from two fields raise FieldMismatchError
-    here; it is derived, so equality, hash, repr and pickling read the
-    three fields only."""
+    its mechanical sequence (see params_of), built once from integer pairs
+    after the checks, so a slope and an intercept from two fields raise
+    FieldMismatchError here; it is derived, so equality, hash, repr and
+    pickling read the three fields only."""
 
     _fields = ("alpha", "delta", "kind")
     __slots__ = (*_fields, "params")
@@ -127,19 +130,26 @@ class SlopeIntercept(_Value):
         alpha, delta = _as_field(alpha), _as_field(delta)
         if kind not in (LOWER, UPPER):
             raise ValueError(f"kind must be {LOWER!r} or {UPPER!r}")
-        if alpha.is_rational:
+        a, b, c, m = alpha.a, alpha.b, alpha.c, alpha.m
+        if b == 0:
             raise DomainError("rational slope generates a periodic sequence")
-        if not (0 < alpha < 1):
+        if surd_sign(a, b, m) <= 0 or surd_sign(a - c, b, m) >= 0:
             raise DomainError("slope must lie in (0,1)")
-        hi_ok = delta <= 1 if kind == UPPER else delta < 1
-        if not (0 <= delta and hi_ok):
+        # 0 <= delta < 1, or delta <= 1 for the upper kind
+        da, db, dc = delta.a, delta.b, delta.c
+        upper = kind == UPPER
+        if surd_sign(da, db, delta.m) < 0 or surd_sign(da - dc, db, delta.m) >= upper:
             raise DomainError("intercept out of range")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "kind", kind)
-        # a zero intercept means rho = l0+l1 for the upper sequence
-        rho = QuadExt(1) if kind == UPPER and delta == 0 else delta
-        object.__setattr__(self, "params", ParamVector(1 - alpha, alpha, rho, kind))
+        # (1-alpha, alpha, delta) over lcm(c, dc); a zero intercept means
+        # rho = l0+l1 for the upper sequence
+        den = math.lcm(c, dc)
+        k, kd = den // c, den // dc
+        rho = (den, 0) if upper and da == db == 0 else (da * kd, db * kd)
+        pairs = (common_field(delta.m, m), ((c - a) * k, -b * k), (a * k, b * k), rho)
+        object.__setattr__(self, "params", ParamVector._from_pairs(pairs, den, kind))
 
 
 class ParamVector(_Value):
@@ -148,22 +158,28 @@ class ParamVector(_Value):
     lower coding uses [0,l0) and [l0,l0+l1), so 0 <= rho < l0+l1;
     upper coding uses (0,l0] and (l0,l0+l1], so 0 < rho <= l0+l1.
     pairs is (m, l0, l1, rho) with each value an integer pair (a, b) for
-    (a + b*sqrt(m))/den over one common denominator den, which the checks
-    here and the 2iet engine share; derived from the fields, it is none.
+    (a + b*sqrt(m))/den over one denominator den > 0, the seven integers
+    without a common factor, so the pairs are canonical.  They are what
+    the vector is built from, checked and coded: the domain checks and the
+    2iet engine read them, and the QuadExt fields l0, l1 and rho are built
+    from them on first read (the constructor keeps those it is given).
+    Equality, hash, repr, pickling and copies read the four fields.
 
     The vector also holds the one letter source of its 2iet sequence, which
     iet_stream fills on first use: every stream it hands out for the vector
     reads one run of the engine into one shared buffer, so the sequence is
     coded once however many streams read it, and the letters stay buffered
     as long as the vector lives.  A seek runs an engine of its own and
-    leaves the buffer as it is.  Like pairs, the source is no field:
-    equality, hash, repr, pickling and copies read the four fields only,
-    and a copy starts with no source.  Nothing locks the source: the
-    streams of one vector are read from one thread.
+    leaves the buffer as it is.  Like pairs, the source is no field, and a
+    copy starts with no source.  Nothing locks the source: the streams of
+    one vector are read from one thread.
     """
 
     _fields = ("l0", "l1", "rho", "boundary")
-    __slots__ = (*_fields, "pairs", "_letters")
+    __slots__ = ("boundary", "pairs", "den", "_values", "_letters")
+    l0 = property(lambda v: v._built()[0])
+    l1 = property(lambda v: v._built()[1])
+    rho = property(lambda v: v._built()[2])
 
     def __init__(self, l0: QuadExt, l1: QuadExt, rho: QuadExt, boundary: str = LOWER):
         l0, l1, rho = _as_field(l0), _as_field(l1), _as_field(rho)
@@ -174,19 +190,44 @@ class ParamVector(_Value):
         m = common_field(common_field(rho.m, l0.m), l1.m)
         den = math.lcm(l0.c, l1.c, rho.c)
         pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, rho)]
-        (l0a, l0b), (l1a, l1b), (xa, xb) = pairs
+        self._init_pairs((m, *pairs), den, boundary)
+        # canonical, so equal to the fields the pairs would give
+        object.__setattr__(self, "_values", (l0, l1, rho))
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple, den: int, boundary: str) -> ParamVector:
+        # the vector of (m, l0, l1, rho) pairs over den != 0; the caller
+        # passes a valid boundary and m, which is None only with no surd
+        v = cls.__new__(cls)
+        v._init_pairs(pairs, den, boundary)
+        return v
+
+    def _init_pairs(self, pairs: tuple, den: int, boundary: str) -> None:
+        m, (l0a, l0b), (l1a, l1b), (xa, xb) = pairs
+        # the pairs over the least positive den are those of the lcm of the
+        # fields' canonical denominators
+        g = math.gcd(den, l0a, l0b, l1a, l1b, xa, xb) * (1 if den > 0 else -1)
+        if g != 1:
+            den, l0a, l0b, l1a, l1b = den // g, l0a // g, l0b // g, l1a // g, l1b // g
+            xa, xb = xa // g, xb // g
         if surd_sign(l0a, l0b, m) <= 0 or surd_sign(l1a, l1b, m) <= 0:
             raise DomainError("interval lengths must be positive")
         # 0 <= x < l0+l1, or 0 < x <= l0+l1 for the upper kind
         upper = boundary == UPPER
         if surd_sign(xa, xb, m) < upper or surd_sign(xa - l0a - l1a, xb - l0b - l1b, m) >= upper:
             raise DomainError("starting point outside the exchanged intervals")
-        object.__setattr__(self, "l0", l0)
-        object.__setattr__(self, "l1", l1)
-        object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "pairs", (m, *pairs))
+        object.__setattr__(self, "pairs", (m, (l0a, l0b), (l1a, l1b), (xa, xb)))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_values", None)  # (l0, l1, rho), see _built
         object.__setattr__(self, "_letters", None)  # (source, buffer), see iet_stream
+
+    def _built(self) -> tuple:
+        # the fields, built from the pairs on the first read of any of them
+        if self._values is None:
+            m, *parts = self.pairs
+            object.__setattr__(self, "_values", tuple(QuadExt(a, b, self.den, m) for a, b in parts))
+        return self._values
 
 
 def _repeated(word: str, n: int) -> Iterator[str]:
@@ -229,7 +270,10 @@ def _iet_letters(pairs: tuple, boundary: str, start: int = 0) -> Iterator[str]:
         # x codes zero while x < l0 (x <= l0, upper), each a step by l1
         head = _most_steps(l0a - xa, l0b - xb, l1a, l1b, m, not upper) + 1
         if head > 0:
-            yield from _repeated(zero, head)
+            if head * len(zero) <= 64:  # the one block _repeated would yield
+                yield zero * head
+            else:
+                yield from _repeated(zero, head)
             xa, xb = xa + head * l1a, xb + head * l1b
         if len(one) + q * len(zero) >= 64:  # every q >= 64 stops here
             break
@@ -266,7 +310,8 @@ def iet_stream(v: ParamVector) -> PrefixStream:
     starts a new one, and the streams of the old one stay as they were."""
     # the slope l1/(l0+l1) is rational when the numerators of l0 and l1 are
     # proportional
-    if v.l0.a * v.l1.b == v.l0.b * v.l1.a:
+    _, (l0a, l0b), (l1a, l1b), _ = v.pairs
+    if l0a * l1b == l0b * l1a:
         raise DomainError("rational slope generates a periodic sequence")
     letters = v._letters
     if letters is None or letters[0].gi_frame is None:  # none yet, or ended

@@ -168,9 +168,15 @@ def substitute(image0: str, image1: str, w: str) -> str:
 
 
 def fixed_point_by_iteration(image0: str, image1: str, start: str, n: int) -> str:
+    """First n letters of the limit of the iterated images of start; an
+    iteration that leaves the prefix as it was raises ValueError, since no
+    later one would change it."""
     s = start
     while len(s) < n:
-        s = substitute(image0, image1, s)
+        t = substitute(image0, image1, s)
+        if t == s:
+            raise ValueError(f"{s!r} is its own image: no longer prefix follows")
+        s = t
     return s[:n]
 
 

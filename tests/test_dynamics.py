@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -162,6 +163,40 @@ def test_iterate_fixed_point_rejects_a_negative_length():
     # s[:n] would give "10" for n = -3
     with pytest.raises(ValueError, match="non-negative"):
         iterate_fixed_point(compose(DG2), "1", -3)
+
+
+@pytest.mark.parametrize("genword", ("DGG", "GD", "G'D'GGD", "DG'DDG'G'"))
+def test_iterate_fixed_point_squares_nothing_for_a_prefix_within_one_image(genword, monkeypatch):
+    phi = compose(parse_genword(genword))
+    first = fixed_point_stream(parse_genword(genword))[0]
+    calls = []
+    square = BinaryMorphism.__mul__
+    monkeypatch.setattr(BinaryMorphism, "__mul__", lambda a, b: calls.append(1) or square(a, b))
+    image = phi.apply(first)
+    for n in range(len(image) + 1):
+        assert iterate_fixed_point(phi, first, n) == image[:n]
+    assert calls == []
+    # a longer prefix does square
+    iterate_fixed_point(phi, first, 200)
+    assert calls
+
+
+def test_fixed_point_by_iteration_raises_on_a_stuck_prefix():
+    # phi("01") = "01", so the oracle's prefix never grows; a thread bounds
+    # the wait, since an oracle that loops would not return
+    raised = []
+
+    def run():
+        try:
+            fixed_point_by_iteration("01", "", "0", 5)
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive() and raised
+    assert fixed_point_by_iteration("01", "", "0", 2) == "01"
 
 
 @pytest.mark.parametrize("first", ("01", "", "x", "0 "))
