@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, NotPrimitiveError
-from .exactfield import QuadExt, _Value, square_free_split
+from .exactfield import QuadExt, _Value, square_free_split, surd_sign
 from .morphisms import (
     BinaryMorphism,
     D,
@@ -177,16 +177,24 @@ def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
     """Necessary condition for a lower sequence to be fixed by a primitive
     morphism: slope and intercept share one quadratic field, and the Galois
     conjugate of the intercept lies between those of the slope and co-slope.
+
+    With alpha = (a + b sqrt(m))/c and delta = (x + y sqrt(m))/z, the
+    conjugate delta' lies between alpha' and 1 - alpha', in either order,
+    exactly when (delta' - alpha') and (delta' - (1 - alpha')) do not have
+    one strict sign.  Over the positive denominator cz these are
+    (xc - az) + (bz - yc) sqrt(m) and (xc - (c - a)z) - (bz + yc) sqrt(m):
+    two surd_sign calls on integer parts, and no QuadExt is built.
     """
     same = alpha.m is None or delta.m is None or alpha.m == delta.m
     in_bounds = False
     if same:
-        abar = alpha.conjugate()
-        dbar = delta.conjugate()
-        lo, hi = abar, 1 - abar
-        if lo > hi:
-            lo, hi = hi, lo
-        in_bounds = lo <= dbar <= hi
+        a, b, c, m = alpha.a, alpha.b, alpha.c, alpha.m or delta.m
+        x, y, z = delta.a, delta.b, delta.c
+        in_bounds = (
+            surd_sign(x * c - a * z, b * z - y * c, m)
+            * surd_sign(x * c - (c - a) * z, -(b * z + y * c), m)
+            <= 0
+        )
     return YasutomiReport(same and in_bounds, same, in_bounds, alpha, delta)
 
 

@@ -4,44 +4,58 @@ Every slope, intercept and eigenvalue in this package is a QuadExt: a value
 (a + b*sqrt(m))/c held in canonical form and compared by exact integer sign
 tests only.  Rationals are the b = 0 case and carry no field, so they mix
 freely with any irrational operand.  An operand may be an int, a Fraction
-or a QuadExt; each operator is one formula on its parts (a, b, c, m).
+(or any rational with integer numerator and denominator) or a QuadExt;
+each operator is one formula on its parts (a, b, c, m).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from operator import attrgetter
 
 from .errors import FieldMismatchError, ParseError
 
 
+# steps from 7 through the residues 7, 11, 13, 17, 19, 23, 29, 31 mod 30:
+# from 7 on they reach every number prime to 2, 3 and 5
+_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+
+
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n >= 0 as f*f*m with m square-free; returns (f, m).
 
-    Trial division by d while d**3 is at most the cofactor left over.  When
-    the loop stops, no prime below d divides the cofactor and d**3 exceeds
-    it, so the cofactor has at most two prime factors: it is 1, a prime p,
-    a product p*q of distinct primes, or p*p.  One isqrt tells p*p apart.
-    The cost is about n**(1/3) divisions, still exponential in the bit size
-    of n.
+    The power of 2 goes first, read off the lowest set bit.  Then trial
+    division by d = 3, 5 and the numbers from 7 on that are prime to 30,
+    while d**3 is at most the cofactor left over; the bound is tested once
+    per block of divisors, and a divisor tried past it keeps what follows
+    true.  When the loop stops, no prime below d divides the cofactor (each
+    was divided out, and every prime from 7 on is prime to 30) and d**3
+    exceeds it, so the cofactor has at most two prime factors: it is 1, a
+    prime p, a product p*q of distinct primes, or p*p.  One isqrt tells p*p
+    apart.  The cost is about (8/30) n**(1/3) divisions, still exponential
+    in the bit size of n.
     """
     if n < 0:
         raise ValueError("radicand must be non-negative")
     if n == 0:
         return 0, 1
-    f, m, d = 1, 1, 2
+    e = (n & -n).bit_length() - 1
+    n >>= e
+    f, m = 1 << (e // 2), 2 if e % 2 else 1
+    d, steps = 3, (2, 2)  # 3, 5, then the wheel from 7
     while d * d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            f *= d ** (e // 2)
-            if e % 2:
-                m *= d
-        d += 1 if d == 2 else 2
+        for step in steps:
+            if n % d == 0:
+                e = 0
+                while n % d == 0:
+                    n //= d
+                    e += 1
+                f *= d ** (e // 2)
+                if e % 2:
+                    m *= d
+            d += step
+        steps = _WHEEL
     r = math.isqrt(n)
     if r * r == n:
         return f * r, m
@@ -91,14 +105,17 @@ def common_field(m: int | None, n: int | None) -> int | None:
 
 
 def operand_parts(x) -> tuple[int, int, int, int | None] | None:
-    """(a, b, c, m) of an int, QuadExt or Fraction operand, None for any
-    other value; no QuadExt is built for a rational."""
+    """(a, b, c, m) of an int, QuadExt or rational operand, None for any
+    other value; no QuadExt is built for a rational.  A rational is read by
+    the numbers.Rational protocol, its integer numerator and denominator,
+    so a Fraction needs no import here."""
     if isinstance(x, int):
         return x, 0, 1, None
     if isinstance(x, QuadExt):
         return x.a, x.b, x.c, x.m
-    if isinstance(x, Fraction):
-        return x.numerator, 0, x.denominator, None
+    a, c = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if isinstance(a, int) and isinstance(c, int):
+        return a, 0, c, None
     return None
 
 
@@ -270,6 +287,10 @@ class QuadExt(_Value):
 
     def __hash__(self):
         if self.b == 0:
+            # equal to a Fraction (or an int), so hashed as one; imported
+            # here, so that the package loads without fractions and decimal
+            from fractions import Fraction
+
             return hash(Fraction(self.a, self.c))
         return hash((self.a, self.b, self.c, self.m))
 

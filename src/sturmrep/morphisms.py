@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import chain, repeat, starmap
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import CyclicMorphismError, DomainError, ParseError
@@ -70,7 +71,10 @@ def parse_genword(text: str) -> GenWord:
         # only the failure path runs the regex, to name the first bad token
         end = _WORD_RE.match(s).end()
         raise ParseError(f"bad generator token at {s[end:]!r}")
-    return tuple(map(_BY_CHAR.__getitem__, chars))
+    if len(chars) < 2:
+        # itemgetter of one key returns the value, not a tuple
+        return tuple(_BY_CHAR[ch] for ch in chars)
+    return itemgetter(*chars)(_BY_CHAR)
 
 
 def format_genword(word: GenWord) -> str:

@@ -113,23 +113,33 @@ class Mat3(_Value):
 # its entries' bit size; leaves keep the additions on small entries and
 # leave the large ones to a few balanced Mat3 products.
 _LEAF = 64
+# A leaf packs each column into one int, A | C << 64 | E << 128 and
+# B | D << 64 | F << 128: a product of 64 generators has entries under
+# 2**46, so no lane carries into the next and a generator is one addition.
+_LANE = 64
+_MASK = (1 << _LANE) - 1
+_Y1 = 1 << _LANE  # 1 in the second-row lane
+_E1 = 1 << (2 * _LANE)  # 1 in the third-row lane
 
 
 def _leaf(word: GenWord) -> Mat3:
-    """rep of a short word, by column additions."""
-    a, b, c, d, e, f = 1, 0, 0, 1, 0, 0
+    """rep of a word of at most _LEAF generators, by packed column additions."""
+    x, y = 1, _Y1  # columns (1, 0, 0) and (0, 1, 0)
     for g in word:
         if g is G:
-            b, d, f = b + a, d + c, f + e
+            y += x
         elif g is GT:
-            b, d, f = b + a, d + c, f + e + 1
+            y += x + _E1
         elif g is DT:
-            a, c, e = a + b, c + d, e + f
+            x += y
         elif g is D:
-            a, c, e = a + b, c + d, e + f + 1
+            x += y + _E1
         else:
             raise KeyError(g)
-    return Mat3(((a, b, 0), (c, d, 0), (e, f, 1)))
+    cx, cy = x >> _LANE, y >> _LANE
+    return Mat3(
+        ((x & _MASK, y & _MASK, 0), (cx & _MASK, cy & _MASK, 0), (cx >> _LANE, cy >> _LANE, 1))
+    )
 
 
 def rep(word: GenWord) -> Mat3:
@@ -139,13 +149,15 @@ def rep(word: GenWord) -> Mat3:
     Each leaf of 64 generators is built by column additions on
     (A, B, C, D, E, F): G adds column A,C,E to column B,D,F, G' also adds 1
     to F, D' adds column B,D,F to A,C,E, and D also adds 1 to E; the third
-    column stays (0, 0, 1).  Neighbouring leaves are then multiplied
+    column stays (0, 0, 1).  Each column is one packed int, so each
+    generator is one addition.  Neighbouring leaves are then multiplied
     pairwise, level by level, so the large entries meet in a balanced tree
     of Mat3 products.
     """
     word = tuple(word)
+    if len(word) <= _LEAF:
+        return _leaf(word)
     level = [_leaf(word[i : i + _LEAF]) for i in range(0, len(word), _LEAF)]
-    level = level or [Mat3.identity()]
     while len(level) > 1:
         level = [
             level[i] * level[i + 1] if i + 1 < len(level) else level[i]
@@ -224,9 +236,9 @@ def decompose(matrix: Mat3) -> RunWord:
 
     Euclid's algorithm on the block rows, one quotient step per run while
     B > 0 and C > 0:
-      B>=D  ->  q = B//D, i = min(q, F//D): G'^i G^(q-i);
-                row 0 loses q*row 1, row 2 i*row 1
-      B<D   ->  the mirror step, q = C//A, i = min(q, E//A): D^i D'^(q-i)
+      G-step  ->  q = B//D, i = min(q, F//D): G'^i G^(q-i);
+                  row 0 loses q*row 1, row 2 i*row 1
+      D-step  ->  the mirror, q = C//A, i = min(q, E//A): D^i D'^(q-i)
     and then one last run:
       C = 0 ->  G^(B-F) G'^F
       B = 0 ->  D'^(C-E) D^E
@@ -238,49 +250,56 @@ def decompose(matrix: Mat3) -> RunWord:
                     C//A <= D//B: q takes one division;
       AD - BC = 1   with C > 0: B >= D forces AD >= 1 + CD, so A > C, and
                     B < D forces AD <= 1 + (D-1)C, so A <= C: B >= D picks
-                    the step, and q >= 1 in both;
+                    the G-step, B < D the D-step, and q >= 1 in both;
       CF - DE < D   gives kCD <= CF < (E+1)D for k = F//D, so F//D <= E//C;
       AF - BE > -A  gives kAB <= BE < (F+1)A for k = E//A, so E//A <= F//B.
-    A step leaves A < C or B < D, so G-steps and D-steps alternate and the
-    runs are maximal once empty ones are dropped.  The word holds one
-    (generator, exponent) pair per run, so its size follows the entries'
-    bits; iterating it or taking its len raises OverflowError past
-    sys.maxsize generators.
+    A G-step leaves B < D and a D-step leaves C < A, so A > C and B >= D:
+    the steps alternate, and each loop turn takes a G-step and then a
+    D-step.  A member with B < D enters at the D-step, since its G-step has
+    q = 0 and i = 0 and changes nothing; the runs are maximal once empty
+    ones are dropped.  The word holds one (generator, exponent) pair per
+    run, so its size follows the entries' bits; iterating it or taking its
+    len raises OverflowError past sys.maxsize generators.
     """
     verdict = check_membership(matrix)
     if not verdict:
         raise MembershipError(verdict.certificate)
     runs: list[tuple[Generator, int]] = []
+    append = runs.append
     a, b, c, d, e, f = matrix.named()
     while b and c:
-        if b >= d:
-            q, i = b // d, f // d
-            if i > q:
-                i = q
-            if i:
-                runs.append((GT, i))
-            if q > i:
-                runs.append((G, q - i))
-            a, b, e, f = a - q * c, b - q * d, e - i * c, f - i * d
-        else:
-            assert a <= c, "block dichotomy violated"
-            q, i = c // a, e // a
-            if i > q:
-                i = q
-            if i:
-                runs.append((D, i))
-            if q > i:
-                runs.append((DT, q - i))
-            c, d, e, f = c - q * a, d - q * b, e - i * a, f - i * b
+        q, b = divmod(b, d)
+        i = f // d
+        if i > q:
+            i = q
+        if i:
+            append((GT, i))
+            e, f = e - i * c, f - i * d
+        if q > i:
+            append((G, q - i))
+        a -= q * c
+        if not b:
+            break
+        assert a <= c, "block dichotomy violated"
+        q, c = divmod(c, a)
+        i = e // a
+        if i > q:
+            i = q
+        if i:
+            append((D, i))
+            e, f = e - i * a, f - i * b
+        if q > i:
+            append((DT, q - i))
+        d -= q * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
         if b > f:
-            runs.append((G, b - f))
+            append((G, b - f))
         if f:
-            runs.append((GT, f))
+            append((GT, f))
     else:
         if c > e:
-            runs.append((DT, c - e))
+            append((DT, c - e))
         if e:
-            runs.append((D, e))
+            append((D, e))
     return RunWord(tuple(runs))

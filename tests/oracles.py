@@ -3,8 +3,9 @@
 Everything here is deliberately written without the package's own
 arithmetic: floors come from raw integer comparisons, sequences from the
 defining formulas, squares from naive string scans, square-free parts from
-sympy's factorization.  The one exception, eigen_by_field_ops, holds the
-package's closed-form eigenvector to QuadExt's field operations.
+sympy's factorization.  The two exceptions, eigen_by_field_ops and
+yasutomi_by_field_ops, hold the package's closed-form eigenvector and its
+integer-part Yasutomi test to QuadExt's field operations.
 """
 
 import re
@@ -163,19 +164,36 @@ def eigen_by_field_ops(rows) -> tuple:
     return lam, x, y, z, "upper" if z == 1 else "lower", m
 
 
+def yasutomi_by_field_ops(alpha, delta) -> tuple[bool, bool]:
+    """(same_field, conjugate_in_bounds) of Yasutomi's condition on two
+    QuadExt values by field operations: the conjugates of alpha, 1 - alpha
+    and delta, ordered and compared."""
+    same = alpha.m is None or delta.m is None or alpha.m == delta.m
+    in_bounds = False
+    if same:
+        abar = alpha.conjugate()
+        dbar = delta.conjugate()
+        lo, hi = abar, 1 - abar
+        if lo > hi:
+            lo, hi = hi, lo
+        in_bounds = lo <= dbar <= hi
+    return same, in_bounds
+
+
 def substitute(image0: str, image1: str, w: str) -> str:
     return "".join(image1 if ch == "1" else image0 for ch in w)
 
 
 def fixed_point_by_iteration(image0: str, image1: str, start: str, n: int) -> str:
-    """First n letters of the limit of the iterated images of start; an
-    iteration that leaves the prefix as it was raises ValueError, since no
-    later one would change it."""
+    """First n letters of the limit of the iterated images of start.  Each
+    iteration must give a longer word that begins with the one before, or
+    ValueError is raised: a prefix that stays, shrinks or alternates would
+    never reach n letters."""
     s = start
     while len(s) < n:
         t = substitute(image0, image1, s)
-        if t == s:
-            raise ValueError(f"{s!r} is its own image: no longer prefix follows")
+        if len(t) <= len(s) or not t.startswith(s):
+            raise ValueError(f"the image {t!r} of {s!r} is not a longer word that begins with it")
         s = t
     return s[:n]
 

@@ -288,7 +288,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_json():
         "import sturmrep\n"
         "print(sorted(m for m in sys.modules if m.startswith('sturmrep.')))\n"
         "import sturmrep.cli\n"
-        "print([m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'inspect', 'json', 'fractions', 'decimal')"
+        " if m in sys.modules])\n"
         "print(len(sturmrep.__all__))\n"
         "print([n for n in sturmrep.__all__ if type(getattr(sturmrep, n)) is type(sys)])\n"
     )

@@ -38,7 +38,13 @@ from sturmrep.words import (
     iet_stream,
 )
 
-from oracles import eigen_by_field_ops, fixed_point_by_iteration, square_free_oracle, substitute
+from oracles import (
+    eigen_by_field_ops,
+    fixed_point_by_iteration,
+    square_free_oracle,
+    substitute,
+    yasutomi_by_field_ops,
+)
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
 DG2 = parse_genword("DGG")
@@ -197,6 +203,30 @@ def test_fixed_point_by_iteration_raises_on_a_stuck_prefix():
     worker.join(timeout=1)
     assert not worker.is_alive() and raised
     assert fixed_point_by_iteration("01", "", "0", 2) == "01"
+
+
+@pytest.mark.parametrize(
+    "image0, image1, start",
+    [
+        ("1", "0", "0"),  # "0", "1", "0", ...: the prefix alternates
+        ("10", "1", "0"),  # longer, but "10" does not begin with "0"
+        ("", "1", "01"),  # the prefix shrinks
+    ],
+)
+def test_fixed_point_by_iteration_raises_where_the_prefix_does_not_grow(image0, image1, start):
+    # a thread bounds the wait, as for the stuck prefix
+    raised = []
+
+    def run():
+        try:
+            fixed_point_by_iteration(image0, image1, start, 5)
+        except ValueError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=1)
+    assert not worker.is_alive() and raised
 
 
 @pytest.mark.parametrize("first", ("01", "", "x", "0 "))
@@ -418,6 +448,36 @@ def test_yasutomi_rejections():
     assert not report.ok and report.same_field and not report.conjugate_in_bounds
     assert "same_field=yes" in str(report)
     assert "ok=no" in str(report)
+
+
+yasutomi_fields = (2, 3, 5, 7, 13)
+yasutomi_values = st.builds(
+    QuadExt,
+    st.integers(-40, 40),
+    st.integers(-9, 9),
+    st.integers(1, 24),
+    st.sampled_from(yasutomi_fields),
+)
+
+
+@settings(max_examples=400)
+@given(yasutomi_values, yasutomi_values, st.sampled_from(("free", "rational", "alpha", "coslope")))
+@example(QuadExt(0, 1, 2, 2), QuadExt(0, 1, 3, 3), "free")  # mismatched fields
+@example(QuadExt(1, 0, 3), QuadExt(1, 1, 2, 5), "free")  # rational alpha
+@example(QuadExt(1, 1, 4, 13), QuadExt(1, 0, 2), "rational")
+def test_yasutomi_condition_matches_field_ops(alpha, delta, tie):
+    # delta is drawn freely, made rational, or put on either bound, where
+    # its conjugate equals that of alpha or of 1 - alpha
+    if tie == "rational":
+        delta = QuadExt(delta.a, 0, delta.c)
+    elif tie == "alpha":
+        delta = alpha
+    elif tie == "coslope":
+        delta = 1 - alpha
+    report = yasutomi_condition(alpha, delta)
+    assert (report.same_field, report.conjugate_in_bounds) == yasutomi_by_field_ops(alpha, delta)
+    assert report.ok == (report.same_field and report.conjugate_in_bounds)
+    assert report.alpha is alpha and report.delta is delta
 
 
 def test_eigen_data_for_large_traces():

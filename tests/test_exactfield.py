@@ -1,6 +1,8 @@
 import ast
 import math
 import operator
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,12 +228,66 @@ def boundary_cases(bits):
         for x in (math.isqrt(n >> k), integer_nthroot(n >> k, 3)[0]):
             for p in primes_around(x):
                 yield (p * p) << k
+    # the first prime at or above the cube root in each class the mod-30
+    # wheel steps through, squared, cubed and times a cofactor prime
+    for r in (1, 7, 11, 13, 17, 19, 23, 29):
+        p = nextprime(cube - 1)
+        while p % 30 != r:
+            p = nextprime(p)
+        yield p * p
+        yield p * p * p
+        yield p * prevprime(n // p)
+    # high powers of the stripped primes 2, 3 and 5 times a prime near the
+    # cube root, odd and even exponents, up to about n
+    for q in (2, 3, 5):
+        e = 1
+        while q ** (e + 2) * cube <= n:
+            e += 1
+        for p in primes_around(cube):
+            for k in (e - 1, e, e + 1):
+                yield q**k * p
+                yield q**k * p * p
 
 
 @pytest.mark.parametrize("bits", [24, 36, 48])
 def test_square_free_split_at_the_cube_root_bound(bits):
     for n in boundary_cases(bits):
         assert square_free_split(n) == square_free_oracle(n), n
+
+
+def test_square_free_split_against_a_sieve():
+    # (f, m) of every n up to 10^5 from its factorization by a
+    # smallest-prime-factor sieve
+    top = 10**5
+    spf = list(range(top + 1))
+    for p in range(2, math.isqrt(top) + 1):
+        if spf[p] == p:
+            for k in range(p * p, top + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    assert square_free_split(0) == (0, 1)
+    for n in range(1, top + 1):
+        f = m = 1
+        k = n
+        while k > 1:
+            p, e = spf[k], 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            f *= p ** (e // 2)
+            m *= p ** (e % 2)
+        assert square_free_split(n) == (f, m), n
+
+
+def test_oracles_import_sympy_only_inside_the_oracles():
+    # the benchmark's reference checks import tests/oracles.py, and a
+    # module-level sympy import there cost each benchmark run about 0.3 s
+    # and 30 MB of set-up
+    tests = Path(__file__).resolve().parent
+    child = f"import sys; sys.path.insert(0, {str(tests)!r}); import oracles; print('sympy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @given(st.integers(1, 2**40))
@@ -328,6 +384,7 @@ def test_mixed_field_comparison_names_both_fields():
 
 def test_hash_consistency_with_rationals():
     assert hash(QuadExt(4, 0, 2)) == hash(2) == hash(QuadExt(2))
+    assert hash(QuadExt(1, 0, 2)) == hash(Fraction(1, 2))
     assert len({QuadExt(1, 1, 2, 5), QuadExt(2, 2, 4, 5)}) == 1
 
 

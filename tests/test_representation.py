@@ -87,6 +87,17 @@ def test_rep_at_leaf_boundaries():
         assert rep(iter(w)) == rep(list(w)) == rep(w)
 
 
+@pytest.mark.parametrize("text", ["GD'" * 32, "G'D" * 32, "D" * 64, "G'" * 64])
+def test_rep_of_extreme_leaves(text):
+    # one full leaf whose entries grow fastest, or whose third row does:
+    # no packed column may carry from one entry into the next
+    w = parse_genword(text)
+    assert len(w) == 64
+    rows = rep(w).rows
+    assert rows == rep_by_products(tokens(w))
+    assert max(max(r) for r in rows) < 2**46
+
+
 def test_rep_of_a_long_word_stays_fast():
     # column additions alone are quadratic in the entries' bit size (several
     # seconds here); the product tree over 64-letter leaves keeps this well
@@ -218,6 +229,22 @@ def test_decompose_examples():
     assert format_genword(decompose(Mat3(((1, 3, 0), (0, 1, 0), (0, 2, 1))))) == "GG'G'"
     assert format_genword(decompose(Mat3(((1, 0, 0), (3, 1, 0), (1, 0, 1))))) == "D'D'D"
     assert decompose(Mat3(((1, 0, 0), (10**5, 1, 0), (0, 0, 1)))).runs == ((DT, 10**5),)
+
+
+def test_decompose_entered_at_a_d_step():
+    # B < D: the first G-step has q = 0, and F >= D would give i = 1 but
+    # for the clamp, so it must add no run
+    m = rep(parse_genword("DG'"))
+    assert m.named() == (1, 1, 1, 2, 1, 2)
+    assert decompose(m).runs == ((D, 1), (GT, 1))
+    for text in ("DGG'", "D'G", "D'DG'GD", "DD'D'GG'G'D", "D'" * 5 + "G'" * 7 + "D"):
+        m = rep(parse_genword(text))
+        a, b, c, d, e, f = m.named()
+        assert 0 < b < d and c > 0
+        word = decompose(m)
+        assert rep(word) == m
+        assert word.runs[0][0] in (D, DT)
+        assert tokens(word) == decompose_by_peeling(m.rows)
 
 
 def test_decompose_rejects_non_members_with_certificate():
