@@ -52,7 +52,7 @@ def dominant_eigen(word: GenWord) -> EigenData:
     g = math.gcd(m1, m2)
     r = f1 * f2 * g  # sqrt(p^2-4) = r sqrt(m)
     m = (m1 // g) * (m2 // g)
-    lam = QuadExt(p, r, 2, m)
+    lam = QuadExt._in_field(p, r, 2, m)
     # the top block row with x + y = 1 gives x = b/(b + lam - a), y = 1 - x,
     # and z = (f + (e-f)x)/(lam - 1); the conjugates of 2(b + lam - a) =
     # u + r sqrt(m) and 2(lam - 1) = w + r sqrt(m) clear the denominators,
@@ -199,5 +199,9 @@ def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
 
 
 def yasutomi_check(eigen: EigenData) -> YasutomiReport:
+    """yasutomi_condition on the slope l1 and the intercept rho of the
+    eigenvector, built from its pairs: l0 is not read, so not built."""
     v = eigen.vector
-    return yasutomi_condition(v.l1, v.rho)
+    m, _, (l1a, l1b), (xa, xb) = v.pairs
+    alpha = QuadExt._in_field(l1a, l1b, v.den, m)
+    return yasutomi_condition(alpha, QuadExt._in_field(xa, xb, v.den, m))

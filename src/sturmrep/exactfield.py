@@ -119,13 +119,28 @@ def operand_parts(x) -> tuple[int, int, int, int | None] | None:
     return None
 
 
+def _put(x: QuadExt, a: int, b: int, c: int, m: int | None) -> None:
+    # the canonical fields of (a + b*sqrt(m))/c, c != 0, set on x
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = math.gcd(a, b, c)
+    if g > 1:
+        a, b, c = a // g, b // g, c // g
+    object.__setattr__(x, "a", a)
+    object.__setattr__(x, "b", b)
+    object.__setattr__(x, "c", c)
+    object.__setattr__(x, "m", m if b else None)
+
+
 def _quotient(a1, b1, c1, m1, a2, b2, c2, m2) -> QuadExt:
     # x/y = x*c2*(a2 - b2*sqrt(m))/(a2^2 - b2^2 m); the norm is 0 only at y = 0
     m = common_field(m1, m2)
     norm = a2 * a2 - b2 * b2 * (m or 0)
     if norm == 0:
         raise ZeroDivisionError("division by zero")
-    return QuadExt(c2 * (a1 * a2 - b1 * b2 * (m or 0)), c2 * (b1 * a2 - a1 * b2), c1 * norm, m)
+    return QuadExt._in_field(
+        c2 * (a1 * a2 - b1 * b2 * (m or 0)), c2 * (b1 * a2 - a1 * b2), c1 * norm, m
+    )
 
 
 _PARSE_RE = re.compile(r"^(?:(-?\d+)|\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\))(?:/(\d+))?$")
@@ -173,27 +188,32 @@ class _Value:
 
 class QuadExt(_Value):
     """(a + b*sqrt(m))/c with gcd(a,b,c) = 1, c > 0 and m >= 2 a non-square,
-    present exactly when b != 0.  Only that is checked; equality, hashing
-    and arithmetic assume the square-free m that from_radicand and parse give."""
+    present exactly when b != 0.
+
+    QuadExt(a, b, c, m), parse and from_radicand check c != 0 and, for
+    b != 0, the radicand; equality, hashing and arithmetic assume the
+    square-free m that from_radicand and parse give.  A value the package
+    derives in a field it has checked or derived, an operator result, a
+    dominant eigenvalue or a field built from a parameter vector's pairs,
+    goes through _in_field, which puts it in canonical form but does not
+    test the radicand again."""
 
     __slots__ = _fields = ("a", "b", "c", "m")
 
     def __init__(self, a: int, b: int = 0, c: int = 1, m: int | None = None):
         if c == 0:
             raise ZeroDivisionError("zero denominator")
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = math.gcd(a, b, c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        if b == 0:
-            m = None
-        elif m is None or m < 2 or math.isqrt(m) ** 2 == m:
+        # b == 0 exactly when the canonical b is
+        if b and (m is None or m < 2 or math.isqrt(m) ** 2 == m):
             raise ValueError("irrational part needs a non-square radicand >= 2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "m", m)
+        _put(self, a, b, c, m)
+
+    @classmethod
+    def _in_field(cls, a: int, b: int, c: int, m: int | None) -> QuadExt:
+        # c != 0, and m a radicand the package has checked or derived
+        x = object.__new__(cls)
+        _put(x, a, b, c, m)
+        return x
 
     # -- construction -----------------------------------------------------
 
@@ -218,7 +238,7 @@ class QuadExt(_Value):
     def conjugate(self) -> QuadExt:
         if self.b == 0:
             return self
-        return QuadExt(self.a, -self.b, self.c, self.m)
+        return QuadExt._in_field(self.a, -self.b, self.c, self.m)
 
     # -- arithmetic ---------------------------------------------------------
     # each operator is one formula on the parts (a, b, c, m) of its operand
@@ -228,21 +248,21 @@ class QuadExt(_Value):
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt(
+        return QuadExt._in_field(
             self.a * c + a * self.c, self.b * c + b * self.c, self.c * c, common_field(self.m, m)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.c, self.m)
+        return QuadExt._in_field(-self.a, -self.b, self.c, self.m)
 
     def __sub__(self, other):
         p = operand_parts(other)
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt(
+        return QuadExt._in_field(
             self.a * c - a * self.c, self.b * c - b * self.c, self.c * c, common_field(self.m, m)
         )
 
@@ -251,7 +271,7 @@ class QuadExt(_Value):
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt(
+        return QuadExt._in_field(
             a * self.c - self.a * c, b * self.c - self.b * c, self.c * c, common_field(m, self.m)
         )
 
@@ -261,7 +281,9 @@ class QuadExt(_Value):
             return NotImplemented
         a, b, c, m = p
         m = common_field(self.m, m)
-        return QuadExt(self.a * a + self.b * b * (m or 0), self.a * b + self.b * a, self.c * c, m)
+        return QuadExt._in_field(
+            self.a * a + self.b * b * (m or 0), self.a * b + self.b * a, self.c * c, m
+        )
 
     __rmul__ = __mul__
 

@@ -64,17 +64,23 @@ _BY_CHAR = {"G": G, "g": GT, "D": D, "d": DT}
 
 def parse_genword(text: str) -> GenWord:
     """Generators of the token text.  Valid text is G, D and primes, each
-    prime after a letter, so none is left once G' and D' are one letter."""
+    prime after a letter, so none is left once G' and D' are one letter:
+    the lookup of the letters refuses a prime alone or any other character,
+    and only a typed g or d, which the lookup would read as G' or D', needs
+    a test of its own."""
     s = text.strip()
-    chars = s.replace("G'", "g").replace("D'", "d")
-    if s.strip("GD'") or "'" in chars:
-        # only the failure path runs the regex, to name the first bad token
-        end = _WORD_RE.match(s).end()
-        raise ParseError(f"bad generator token at {s[end:]!r}")
-    if len(chars) < 2:
-        # itemgetter of one key returns the value, not a tuple
-        return tuple(_BY_CHAR[ch] for ch in chars)
-    return itemgetter(*chars)(_BY_CHAR)
+    if "g" not in s and "d" not in s:
+        chars = s.replace("G'", "g").replace("D'", "d")
+        try:
+            if len(chars) < 2:
+                # itemgetter of one key returns the value, not a tuple
+                return tuple(_BY_CHAR[ch] for ch in chars)
+            return itemgetter(*chars)(_BY_CHAR)
+        except KeyError:
+            pass
+    # only the failure path runs the regex, to name the first bad token
+    end = _WORD_RE.match(s).end()
+    raise ParseError(f"bad generator token at {s[end:]!r}")
 
 
 def format_genword(word: GenWord) -> str:
@@ -174,7 +180,12 @@ _MORPHISM_RE = re.compile(r"^0->([01]*),1->([01]*)$")
 
 
 class BinaryMorphism(_Value):
-    """Substitution on {0,1} given by the images of the two letters."""
+    """Substitution on {0,1} given by the images of the two letters.
+
+    BinaryMorphism(image0, image1) and parse check that both images are
+    binary words.  Morphisms the package derives from checked ones, by
+    concatenating, rotating or slicing binary words (compose, products,
+    conjugates), go through _of, which sets the images unchecked."""
 
     __slots__ = _fields = ("image0", "image1")
 
@@ -187,6 +198,14 @@ class BinaryMorphism(_Value):
             raise ValueError("images must be binary words")
         object.__setattr__(self, "image0", image0)
         object.__setattr__(self, "image1", image1)
+
+    @classmethod
+    def _of(cls, image0: str, image1: str) -> BinaryMorphism:
+        # images the package built from binary words: no check
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "image0", image0)
+        object.__setattr__(phi, "image1", image1)
+        return phi
 
     def _image(self, w: str) -> str:
         if w.count("0") + w.count("1") != len(w):
@@ -238,7 +257,7 @@ class BinaryMorphism(_Value):
         # composition: (self * other)(x) = self(other(x))
         if not isinstance(other, BinaryMorphism):
             return NotImplemented
-        return BinaryMorphism(self.apply(other.image0), self.apply(other.image1))
+        return BinaryMorphism._of(self._image(other.image0), self._image(other.image1))
 
     def __pow__(self, k: int) -> BinaryMorphism:
         return power(self, k, IDENTITY)
@@ -297,7 +316,7 @@ def compose(word: GenWord) -> BinaryMorphism:
                 x = x + y * k
             else:
                 raise KeyError(g)
-        return BinaryMorphism(x, y)
+        return BinaryMorphism._of(x, y)
     for g in word:
         if g is G:
             y = x + y
@@ -309,7 +328,7 @@ def compose(word: GenWord) -> BinaryMorphism:
             x = x + y
         else:
             raise KeyError(g)
-    return BinaryMorphism(x, y)
+    return BinaryMorphism._of(x, y)
 
 
 def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:
@@ -322,7 +341,7 @@ def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:
     if i0[-1] != i1[-1]:
         return None
     x = i0[-1]
-    return BinaryMorphism(x + i0[:-1], x + i1[:-1])
+    return BinaryMorphism._of(x + i0[:-1], x + i1[:-1])
 
 
 def rightmost_conjugate(phi: BinaryMorphism) -> BinaryMorphism:
@@ -343,7 +362,7 @@ def rightmost_conjugate(phi: BinaryMorphism) -> BinaryMorphism:
     while i0[n0 - 1 - steps % n0] == i1[n1 - 1 - steps % n1]:
         steps += 1
     r0, r1 = steps % n0, steps % n1
-    return BinaryMorphism(i0[n0 - r0 :] + i0[: n0 - r0], i1[n1 - r1 :] + i1[: n1 - r1])
+    return BinaryMorphism._of(i0[n0 - r0 :] + i0[: n0 - r0], i1[n1 - r1 :] + i1[: n1 - r1])
 
 
 def conjugates_of(matrix: Mat2) -> list[BinaryMorphism]:
@@ -361,7 +380,19 @@ def conjugates_of(matrix: Mat2) -> list[BinaryMorphism]:
         raise DomainError("incidence matrices have non-negative entries")
     if matrix.det() != 1:
         raise DomainError("incidence matrix must have determinant 1")
-    n, k, ones = a + b + c + d, a + c, c + d
-    pp = "".join(str((i + 1) * ones // n - i * ones // n) for i in range(n)) * 2
+    n, k = a + b + c + d, a + c
+    pp = _christoffel(n, c + d) * 2
     starts = (s * k % n for s in range(n - 1))
-    return [BinaryMorphism(pp[t : t + k], pp[t + k : t + n]) for t in starts]
+    return [BinaryMorphism._of(pp[t : t + k], pp[t + k : t + n]) for t in starts]
+
+
+def _christoffel(n: int, ones: int) -> str:
+    """Lower Christoffel word of length n with the given number of ones,
+    p[i] = floor((i+1)*ones/n) - floor(i*ones/n) for 0 <= ones <= n.
+    p[i] is 1 exactly when some multiple j*n lies in (i*ones, (i+1)*ones],
+    that is i = ceil(j*n/ones) - 1 = (j*n - 1)//ones, for j = 1, ..., ones:
+    each one is put in place, with no floor per letter."""
+    word = bytearray(b"0" * n)
+    for jn in range(n - 1, ones * n, n):  # j*n - 1
+        word[jn // ones] = 49  # "1"
+    return word.decode()

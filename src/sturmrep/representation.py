@@ -21,7 +21,12 @@ Rows = tuple[tuple[int, int, int], ...]
 
 
 class Mat3(_Value):
-    """3x3 integer matrix as immutable rows."""
+    """3x3 integer matrix as immutable rows.
+
+    Mat3(rows) and Mat3.parse check the shape, three rows of three, and
+    store them as tuples.  Products, inverses and rep's leaves, which the
+    package builds as tuples of three tuples of three, go through _of,
+    which stores the rows as they are."""
 
     __slots__ = _fields = ("rows",)
 
@@ -33,17 +38,24 @@ class Mat3(_Value):
         object.__setattr__(self, "rows", ((a, b, c), (d, e, f), (g, h, i)))
 
     @classmethod
+    def _of(cls, rows: Rows) -> Mat3:
+        # rows the package built in shape: no check, no copy
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def identity(cls) -> Mat3:
         return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def __mul__(self, other: Mat3) -> Mat3:
         """Matrix product, written out as nine sums of three terms; the
-        result goes through the validating constructor like any Mat3."""
+        rows are built in shape, so the result skips the constructor."""
         if not isinstance(other, Mat3):
             return NotImplemented
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         (p, q, r), (s, t, u), (v, w, x) = other.rows
-        return Mat3(
+        return Mat3._of(
             (
                 (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
                 (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
@@ -73,11 +85,6 @@ class Mat3(_Value):
             self.rows[2][1],
         )
 
-    def has_monoid_shape(self) -> bool:
-        return (
-            self.rows[0][2] == 0 and self.rows[1][2] == 0 and self.rows[2][2] == 1
-        )
-
     def inverse(self) -> Mat3:
         """Exact inverse of any integer matrix with determinant s = 1 or -1:
         the adjugate over s, which is the adjugate times s."""
@@ -85,7 +92,7 @@ class Mat3(_Value):
         if s not in (1, -1):
             raise DomainError(f"no integer inverse: determinant {s}")
         (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return Mat3(
+        return Mat3._of(
             (
                 (s * (e * i - f * h), s * (c * h - b * i), s * (b * f - c * e)),
                 (s * (f * g - d * i), s * (a * i - c * g), s * (c * d - a * f)),
@@ -137,7 +144,7 @@ def _leaf(word: GenWord) -> Mat3:
         else:
             raise KeyError(g)
     cx, cy = x >> _LANE, y >> _LANE
-    return Mat3(
+    return Mat3._of(
         ((x & _MASK, y & _MASK, 0), (cx & _MASK, cy & _MASK, 0), (cx >> _LANE, cy >> _LANE, 1))
     )
 
@@ -202,32 +209,46 @@ class Membership(_Value):
         return self.ok
 
 
+_MEMBER = Membership(True)
+
+
+def _certificate(rows: Rows) -> str | None:
+    # the first violated constraint of check_membership, None for a member
+    (a, b, x), (c, d, y), (e, f, z) = rows
+    if x != 0 or y != 0 or z != 1:
+        return "third column != (0,0,1)"
+    if min(a, b, c, d, e, f) < 0:
+        return "entries >= 0"
+    if a * d - b * c != 1:
+        return "AD-BC=1"
+    if not e < a + c:
+        return "E<A+C"
+    if not f < b + d:
+        return "F<B+D"
+    t = c * f - d * e
+    if not -c <= t:
+        return "-C<=CF-DE"
+    if not t < d:
+        return "CF-DE<D"
+    # equivalent companion bound, implied for members; decompose relies on it
+    assert -a < a * f - b * e <= b
+    return None
+
+
 def check_membership(matrix: Mat3) -> Membership:
     """Decide whether the matrix represents a morphism of the monoid.
 
     Checks, in order: block shape, non-negativity, determinant of the
     block, E < A+C, F < B+D, -C <= CF-DE < D.  The certificate names the
-    first violated constraint.
+    first violated constraint.  Every matrix is checked in full, whoever
+    built it; members share one verdict, Membership(True).
     """
-    if not matrix.has_monoid_shape():
-        return Membership(False, "third column != (0,0,1)")
-    a, b, c, d, e, f = matrix.named()
-    if min(a, b, c, d, e, f) < 0:
-        return Membership(False, "entries >= 0")
-    if a * d - b * c != 1:
-        return Membership(False, "AD-BC=1")
-    if not e < a + c:
-        return Membership(False, "E<A+C")
-    if not f < b + d:
-        return Membership(False, "F<B+D")
-    t = c * f - d * e
-    if not -c <= t:
-        return Membership(False, "-C<=CF-DE")
-    if not t < d:
-        return Membership(False, "CF-DE<D")
-    # equivalent companion bound, implied for members; decompose relies on it
-    assert -a < a * f - b * e <= b
-    return Membership(True)
+    cert = _certificate(matrix.rows)
+    return _MEMBER if cert is None else Membership(False, cert)
+
+
+# the runs of a unit Euclid quotient, one of them per step
+_G1, _GT1, _D1, _DT1 = (G, 1), (GT, 1), (D, 1), (DT, 1)
 
 
 def decompose(matrix: Mat3) -> RunWord:
@@ -257,40 +278,67 @@ def decompose(matrix: Mat3) -> RunWord:
     the steps alternate, and each loop turn takes a G-step and then a
     D-step.  A member with B < D enters at the D-step, since its G-step has
     q = 0 and i = 0 and changes nothing; the runs are maximal once empty
-    ones are dropped.  The word holds one (generator, exponent) pair per
-    run, so its size follows the entries' bits; iterating it or taking its
-    len raises OverflowError past sys.maxsize generators.
+    ones are dropped.  A quotient of 1, D <= B < 2D in a G-step and
+    C < 2A in a D-step, takes one subtraction instead of a division, and
+    i = 1 exactly when F >= D (E >= A in a D-step).  The certificate of a
+    non-member is check_membership's.  The word holds one (generator,
+    exponent) pair per run, so its size follows the entries' bits;
+    iterating it or taking its len raises OverflowError past sys.maxsize
+    generators.
     """
-    verdict = check_membership(matrix)
-    if not verdict:
-        raise MembershipError(verdict.certificate)
+    rows = matrix.rows
+    cert = _certificate(rows)
+    if cert is not None:
+        raise MembershipError(cert)
     runs: list[tuple[Generator, int]] = []
     append = runs.append
-    a, b, c, d, e, f = matrix.named()
+    (a, b, _), (c, d, _), (e, f, _) = rows
     while b and c:
-        q, b = divmod(b, d)
-        i = f // d
-        if i > q:
-            i = q
-        if i:
-            append((GT, i))
-            e, f = e - i * c, f - i * d
-        if q > i:
-            append((G, q - i))
-        a -= q * c
+        r = b - d
+        if 0 <= r < d:
+            # q = 1: no division, and i = 1 exactly when F >= D
+            b = r
+            if f >= d:
+                append(_GT1)
+                e, f = e - c, f - d
+            else:
+                append(_G1)
+            a -= c
+        else:
+            q, b = divmod(b, d)
+            i = f // d
+            if i > q:
+                i = q
+            if i:
+                append((GT, i))
+                e, f = e - i * c, f - i * d
+            if q > i:
+                append((G, q - i))
+            a -= q * c
         if not b:
             break
         assert a <= c, "block dichotomy violated"
-        q, c = divmod(c, a)
-        i = e // a
-        if i > q:
-            i = q
-        if i:
-            append((D, i))
-            e, f = e - i * a, f - i * b
-        if q > i:
-            append((DT, q - i))
-        d -= q * b
+        r = c - a
+        if r < a:
+            # q = 1, the mirror: i = 1 exactly when E >= A
+            c = r
+            if e >= a:
+                append(_D1)
+                e, f = e - a, f - b
+            else:
+                append(_DT1)
+            d -= b
+        else:
+            q, c = divmod(c, a)
+            i = e // a
+            if i > q:
+                i = q
+            if i:
+                append((D, i))
+                e, f = e - i * a, f - i * b
+            if q > i:
+                append((DT, q - i))
+            d -= q * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
         if b > f:

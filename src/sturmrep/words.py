@@ -226,7 +226,9 @@ class ParamVector(_Value):
         # the fields, built from the pairs on the first read of any of them
         if self._values is None:
             m, *parts = self.pairs
-            object.__setattr__(self, "_values", tuple(QuadExt(a, b, self.den, m) for a, b in parts))
+            den = self.den
+            values = tuple(QuadExt._in_field(a, b, den, m) for a, b in parts)
+            object.__setattr__(self, "_values", values)
         return self._values
 
 

@@ -329,6 +329,12 @@ def decompose_by_peeling(rows) -> list[str]:
             swapped = not swapped
 
 
+def christoffel_by_floors(n: int, ones: int) -> str:
+    """Lower Christoffel word of length n with the given number of ones,
+    one letter per pair of floors: floor((i+1)*ones/n) - floor(i*ones/n)."""
+    return "".join(str((i + 1) * ones // n - i * ones // n) for i in range(n))
+
+
 def conjugates_by_third_rows(a: int, b: int, c: int, d: int) -> list[tuple[str, str]]:
     """Images of 0 and 1 of every monoid morphism with incidence matrix
     (a b; c d) and determinant 1, by the third-row definition: for each

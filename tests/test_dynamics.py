@@ -335,6 +335,15 @@ def _assert_eigen_matches_oracle(word):
     v = eigen.vector
     assert (eigen.eigenvalue, eigen.field) == (lam, field)
     assert (v.l0, v.l1, v.rho, v.boundary) == (x, y, z, boundary)
+    # the eigenvalue, the fields built from the pairs and Yasutomi's slope
+    # and intercept skip the radicand test: each must be the value that
+    # QuadExt(...) builds from its parts
+    report = yasutomi_check(eigen)
+    for got, want in (
+        (eigen.eigenvalue, lam), (v.l0, x), (v.l1, y), (v.rho, z), (report.alpha, y), (report.delta, z)
+    ):
+        public = QuadExt(got.a, got.b, got.c, got.m)
+        assert got == want == public and hash(got) == hash(public) and repr(got) == repr(public)
 
 
 def test_dominant_eigen_matches_field_ops_oracle_on_short_words():

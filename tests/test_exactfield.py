@@ -177,7 +177,7 @@ def test_normalize_radicand():
     assert QuadExt.from_radicand(5, 3, 2, 0) == QuadExt(5, 0, 2)
 
 
-@pytest.mark.parametrize("m", [4, 9, 16, 144, 10**20])
+@pytest.mark.parametrize("m", [0, 1, 4, 9, 16, 144, 10**20])
 def test_perfect_square_radicand_is_rejected(m):
     # sqrt(4)/3 is the rational 2/3; as an irrational value it would compare
     # unequal to 2/3 and break the sign test that assumes sqrt(m) irrational
@@ -430,3 +430,76 @@ def test_no_float_in_the_library():
                  and isinstance(n.value, ast.Name) and n.value.id == "math"]
         assert len(uses) == len(attrs), f"{path.name}: bare use of math"
         assert {n.attr for n in attrs} <= math_ok, path.name
+
+
+FIELDS = (2, 3, 5, 7, 13)
+
+
+@st.composite
+def field_operands(draw):
+    """Two operands over one of FIELDS: QuadExt values with any b, b = 0
+    included, ints and Fractions, and a value with its own conjugate, so
+    that some results fall back to the rationals."""
+    m = draw(st.sampled_from(FIELDS))
+    parts = st.tuples(st.integers(-30, 30), st.integers(-9, 9), st.integers(1, 12))
+    x = QuadExt(*draw(parts), m)
+    other = draw(
+        st.one_of(
+            parts.map(lambda p: QuadExt(*p, m)),
+            st.just(x.conjugate()),
+            st.integers(-30, 30),
+            st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+        )
+    )
+    return m, x, other
+
+
+def _parts(v):
+    # (a, b, c) of an int, Fraction or QuadExt
+    if isinstance(v, QuadExt):
+        return v.a, v.b, v.c
+    v = Fraction(v)
+    return v.numerator, 0, v.denominator
+
+
+def _by_public_constructor(op, x, y, m):
+    # the unreduced formula of each operator on parts, built by QuadExt(...)
+    (a1, b1, c1), (a2, b2, c2) = _parts(x), _parts(y)
+    if op is operator.add:
+        return QuadExt(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2, m)
+    if op is operator.sub:
+        return QuadExt(a1 * c2 - a2 * c1, b1 * c2 - b2 * c1, c1 * c2, m)
+    if op is operator.mul:
+        return QuadExt(a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2, c1 * c2, m)
+    norm = a2 * a2 - b2 * b2 * m
+    return QuadExt(c2 * (a1 * a2 - b1 * b2 * m), c2 * (b1 * a2 - a1 * b2), c1 * norm, m)
+
+
+def _same_value(got, want):
+    assert type(got) is QuadExt
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@given(field_operands())
+def test_operator_results_equal_their_publicly_built_twins(operands):
+    # operator results skip the radicand test of QuadExt(...): each must be
+    # the canonical value that the checking constructor gives, b = 0
+    # (and with it m = None) included
+    m, x, y = operands
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for p, q in ((x, y), (y, x)):
+            if op is operator.truediv and q == 0:
+                continue
+            _same_value(op(p, q), _by_public_constructor(op, p, q, m))
+    _same_value(-x, QuadExt(-x.a, -x.b, x.c, m))
+    _same_value(x.conjugate(), QuadExt(x.a, -x.b, x.c, m))
+
+
+def test_the_public_constructor_refuses_a_missing_radicand_and_a_zero_denominator():
+    for m in (None, -3):
+        with pytest.raises(ValueError, match="^irrational part needs a non-square radicand >= 2$"):
+            QuadExt(1, 1, 1, m)
+    # the denominator is tested first, as before the radicand test moved
+    # ahead of the canonical form
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        QuadExt(1, 1, 0, 4)

@@ -21,6 +21,7 @@ from sturmrep.morphisms import (
     BinaryMorphism,
     Mat2,
     RunWord,
+    _christoffel,
     compose,
     conjugates_of,
     format_genword,
@@ -29,10 +30,11 @@ from sturmrep.morphisms import (
     right_conjugate_step,
     rightmost_conjugate,
 )
-from sturmrep.representation import rep
+from sturmrep.representation import decompose, rep
 from sturmrep.words import PrefixStream
 
 from oracles import (
+    christoffel_by_floors,
     compose_by_substitution,
     conjugates_by_third_rows,
     fixed_point_by_iteration,
@@ -102,7 +104,9 @@ def test_genword_text_round_trip():
 
 @pytest.mark.parametrize(
     "text, rest",
-    [("GXD", "XD"), ("'G", "'G"), ("G''", "'"), ("D G", " G"), ("G'D'x", "x"), ("g", "g")],
+    [("GXD", "XD"), ("'G", "'G"), ("G''", "'"), ("D G", " G"), ("G'D'x", "x"), ("g", "g"),
+     # a typed g or d, which the letter lookup would read as G' or D'
+     ("Gd", "d"), ("G'g", "g"), (" d ", "d"), ("GDd'", "d'"), ("DgG", "gG")],
 )
 def test_genword_parse_error_names_the_first_bad_token(text, rest):
     with pytest.raises(ParseError) as info:
@@ -396,6 +400,36 @@ def test_rightmost_conjugate_of_every_short_morphism_within_fine_wilf():
         assert rightmost_conjugate(phi) == cur
         at_bound += steps == bound
     assert at_bound == 210
+
+
+def test_christoffel_word_by_placed_ones_matches_the_floors():
+    for n in range(1, 201):
+        for ones in range(n + 1):
+            assert _christoffel(n, ones) == christoffel_by_floors(n, ones)
+
+
+def _same_morphism(got, want):
+    assert type(got) is BinaryMorphism
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+@settings(deadline=None, max_examples=50)
+@given(budgetwords, genwords, genwords)
+def test_derived_morphisms_equal_their_publicly_built_twins(w, u, v):
+    # compose, products and conjugates build their images from binary words
+    # and skip the check of BinaryMorphism(...): each must equal its twin
+    # from the checking constructor
+    twin = BinaryMorphism(*compose_by_substitution([g.token for g in w]))
+    _same_morphism(compose(w), twin)
+    _same_morphism(compose(decompose(rep(w))), twin)  # a RunWord, one copy per run
+    phi, psi = compose(u), compose(v)
+    _same_morphism(phi * psi, BinaryMorphism(*compose_by_substitution([g.token for g in u + v])))
+    _same_morphism(phi**3, BinaryMorphism(*compose_by_substitution([g.token for g in u * 3])))
+    for chi in conjugates_of(phi.incidence()):
+        _same_morphism(chi, BinaryMorphism(chi.image0, chi.image1))
+    if not phi.is_cyclic():
+        for chi in (right_conjugate_step(phi) or phi, rightmost_conjugate(phi)):
+            _same_morphism(chi, BinaryMorphism(chi.image0, chi.image1))
 
 
 def test_conjugates_counts():

@@ -198,6 +198,8 @@ def test_membership_examples():
 def test_membership_certificates_in_order():
     cases = [
         ((((1, 0, 1), (0, 1, 0), (0, 0, 1))), "third column != (0,0,1)"),
+        ((((1, 0, 0), (0, 1, -1), (0, 0, 1))), "third column != (0,0,1)"),
+        ((((1, 0, 0), (0, 1, 0), (0, 0, 2))), "third column != (0,0,1)"),
         ((((1, -1, 0), (0, 1, 0), (0, 0, 1))), "entries >= 0"),
         ((((2, 1, 0), (1, 2, 0), (0, 0, 1))), "AD-BC=1"),
         ((((1, 1, 0), (1, 2, 0), (2, 0, 1))), "E<A+C"),
@@ -209,6 +211,9 @@ def test_membership_certificates_in_order():
         verdict = check_membership(Mat3(rows))
         assert not verdict.ok
         assert verdict.certificate == certificate
+        with pytest.raises(MembershipError) as err:
+            decompose(Mat3(rows))
+        assert err.value.certificate == certificate
 
 
 def test_companion_inequality_holds_for_members():
@@ -252,6 +257,70 @@ def test_decompose_rejects_non_members_with_certificate():
         decompose(Mat3(((1, 1, 0), (0, 1, 0), (0, 2, 1))))
     assert err.value.certificate == "F<B+D"
     assert "membership failed: F<B+D" in str(err.value)
+
+
+@pytest.mark.parametrize("lead", ["", "D"], ids=["G-step first", "q=0 first"])
+@pytest.mark.parametrize("period", ["GD", "G'D'", "GD'", "G'D"])
+def test_decompose_of_unit_quotients_matches_peeling(period, lead):
+    # every Euclid quotient is 1, so every step before the last run takes
+    # the subtraction without division, primed and unprimed alike; a
+    # leading D makes B < D, so the first G-step has q = 0
+    for k in range(201):
+        matrix = rep(parse_genword(lead + period * k))
+        word = decompose(matrix)
+        assert tokens(word) == decompose_by_peeling(matrix.rows)
+        assert rep(word) == matrix
+        assert all(e == 1 for _, e in word.runs)
+
+
+# a member's entry moved by a small step, or E or F pushed to its bound
+mutations = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 8), st.sampled_from((-2, -1, 1, 2))),
+    st.tuples(st.sampled_from(("bound_e", "bound_f")), st.integers(-1, 3)),
+)
+
+
+def mutated(rows, mutation):
+    rows = [list(r) for r in rows]
+    kind, *rest = mutation
+    if kind == "add":
+        cell, delta = rest
+        rows[cell // 3][cell % 3] += delta
+    elif kind == "bound_e":
+        rows[2][0] = rows[0][0] + rows[1][0] + rest[0]
+    else:
+        rows[2][1] = rows[0][1] + rows[1][1] + rest[0]
+    return Mat3(rows)
+
+
+@settings(deadline=None)
+@given(st.one_of(genwords, longwords), mutations)
+def test_decompose_certificate_is_check_membership_s(w, mutation):
+    # decompose reads the certificate off the rows itself, with no
+    # Membership built: the two must name the same first violation
+    matrix = mutated(rep(w).rows, mutation)
+    verdict = check_membership(matrix)
+    if verdict:
+        assert verdict == check_membership(Mat3.identity()) and verdict.certificate is None
+        assert rep(decompose(matrix)) == matrix
+    else:
+        with pytest.raises(MembershipError) as err:
+            decompose(matrix)
+        assert err.value.certificate == verdict.certificate
+
+
+@settings(deadline=None, max_examples=60)
+@given(longwords)
+def test_derived_matrices_equal_their_publicly_built_twins(w):
+    # rep's leaves, Mat3 products and inverses skip Mat3(...): each must be
+    # the matrix the checking constructor gives, rows of tuples of ints
+    twin = Mat3(rep_by_products(tokens(w)))
+    half = len(w) // 2
+    derived = (rep(w), rep(w[:half]) * rep(w[half:]), twin.inverse().inverse())
+    for m in derived:
+        assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+        assert type(m.rows) is tuple and all(type(r) is tuple and len(r) == 3 for r in m.rows)
+        assert all(type(x) is int for r in m.rows for x in r)
 
 
 @given(genwords)
