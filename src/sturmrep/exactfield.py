@@ -126,10 +126,11 @@ def _put(x: QuadExt, a: int, b: int, c: int, m: int | None) -> None:
     g = math.gcd(a, b, c)
     if g > 1:
         a, b, c = a // g, b // g, c // g
-    object.__setattr__(x, "a", a)
-    object.__setattr__(x, "b", b)
-    object.__setattr__(x, "c", c)
-    object.__setattr__(x, "m", m if b else None)
+    put_a, put_b, put_c, put_m = QuadExt._setters
+    put_a(x, a)
+    put_b(x, b)
+    put_c(x, c)
+    put_m(x, m if b else None)
 
 
 def _quotient(a1, b1, c1, m1, a2, b2, c2, m2) -> QuadExt:
@@ -149,20 +150,31 @@ _PARSE_RE = re.compile(r"^(?:(-?\d+)|\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\))(?:/(
 class _Value:
     """Immutable value over the fields named in _fields, which a subclass
     also lists as slots: equal only to a value of the same class with equal
-    fields, hashed and pickled by them, shown as Name(field=value, ...)."""
+    fields, hashed and pickled by them, shown as Name(field=value, ...).
+
+    A constructor writes each field once, through the setter of its slot
+    descriptor, which skips the lookup by name of object.__setattr__; the
+    setters are recorded once per class, in _setters, in the order of the
+    __slots__ the class declares.  __setattr__ and __delattr__ raise for
+    every slot."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         # the key of equality and hash: the one field's value or a tuple
         cls._key = property(attrgetter(*cls._fields))
+        # a subclass that declares no slots of its own keeps its parent's
+        slots = cls.__dict__.get("__slots__", ())
+        if slots:
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
 
     def __init__(self, *values):
-        # the fields in order, unchecked; a class with checks writes its own
+        # the fields in order, unchecked, for a class whose slots are its
+        # fields; a class with checks writes its own
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields")
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, values):
+            put(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -42,9 +42,37 @@ class RunWord(_Value):
     """Generator word held as its maximal runs ((generator, exponent), ...):
     every exponent is at least 1 and neighbouring generators differ.  It
     iterates as its generators, lazily, so it serves wherever a GenWord
-    does; its size is that of the exponents' bits, not of its length."""
+    does; its size is that of the exponents' bits, not of its length.
+
+    RunWord(runs) checks that each run is a Generator with an int exponent
+    of at least 1 (a bool is refused) and that neighbouring generators
+    differ, so one word has one RunWord.  decompose, which builds maximal
+    runs, goes through _of, which stores them unchecked."""
 
     __slots__ = _fields = ("runs",)
+
+    def __init__(self, runs: tuple[tuple[Generator, int], ...]):
+        runs = tuple(runs)
+        last = None
+        for run in runs:
+            if not (type(run) is tuple and len(run) == 2 and type(run[0]) is Generator
+                    and type(run[1]) is int):
+                raise TypeError(f"a run is a (Generator, int exponent) pair, not {run!r}")
+            g, k = run
+            if k < 1:
+                raise ValueError(f"run exponents are at least 1, not {k}")
+            if g is last:
+                raise ValueError(f"neighbouring runs of {g.token}: the runs must be maximal")
+            last = g
+        self._setters[0](self, runs)
+
+    @classmethod
+    def _of(cls, runs: tuple[tuple[Generator, int], ...]) -> RunWord:
+        # maximal runs the package built: no check
+        (put,) = cls._setters
+        word = object.__new__(cls)
+        put(word, runs)
+        return word
 
     def __iter__(self):
         return chain.from_iterable(starmap(repeat, self.runs))
@@ -108,9 +136,19 @@ def power(x, k: int, one):
 
 
 class Mat2(_Value):
-    """2x2 integer matrix (a b; c d)."""
+    """2x2 integer matrix (a b; c d); Mat2(a, b, c, d) raises TypeError on
+    an entry that is not an int (a bool included)."""
 
     __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+            raise TypeError("matrix entries must be int")
+        put_a, put_b, put_c, put_d = self._setters
+        put_a(self, a)
+        put_b(self, b)
+        put_c(self, c)
+        put_d(self, d)
 
     @classmethod
     def identity(cls) -> Mat2:
@@ -196,15 +234,17 @@ class BinaryMorphism(_Value):
         # squares in iterate_fixed_point have images of up to 4095 letters
         if w.count("0") + w.count("1") != len(w):
             raise ValueError("images must be binary words")
-        object.__setattr__(self, "image0", image0)
-        object.__setattr__(self, "image1", image1)
+        put0, put1 = self._setters
+        put0(self, image0)
+        put1(self, image1)
 
     @classmethod
     def _of(cls, image0: str, image1: str) -> BinaryMorphism:
         # images the package built from binary words: no check
+        put0, put1 = cls._setters
         phi = object.__new__(cls)
-        object.__setattr__(phi, "image0", image0)
-        object.__setattr__(phi, "image1", image1)
+        put0(phi, image0)
+        put1(phi, image1)
         return phi
 
     def _image(self, w: str) -> str:

@@ -24,9 +24,10 @@ class Mat3(_Value):
     """3x3 integer matrix as immutable rows.
 
     Mat3(rows) and Mat3.parse check the shape, three rows of three, and
-    store them as tuples.  Products, inverses and rep's leaves, which the
-    package builds as tuples of three tuples of three, go through _of,
-    which stores the rows as they are."""
+    the entries, each an int (a bool raises TypeError too), and store the
+    rows as tuples.  Products, inverses and rep's leaves, which the package
+    builds as tuples of three tuples of ints, go through _of, which stores
+    the rows as they are."""
 
     __slots__ = _fields = ("rows",)
 
@@ -35,13 +36,20 @@ class Mat3(_Value):
             (a, b, c), (d, e, f), (g, h, i) = rows
         except ValueError:
             raise ValueError("need 3x3 rows") from None
-        object.__setattr__(self, "rows", ((a, b, c), (d, e, f), (g, h, i)))
+        if not (
+            type(a) is int and type(b) is int and type(c) is int
+            and type(d) is int and type(e) is int and type(f) is int
+            and type(g) is int and type(h) is int and type(i) is int
+        ):
+            raise TypeError("matrix entries must be int")
+        self._setters[0](self, ((a, b, c), (d, e, f), (g, h, i)))
 
     @classmethod
     def _of(cls, rows: Rows) -> Mat3:
         # rows the package built in shape: no check, no copy
+        (put,) = cls._setters
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        put(m, rows)
         return m
 
     @classmethod
@@ -119,33 +127,43 @@ class Mat3(_Value):
 # bignum addition per generator, so a long word alone would be quadratic in
 # its entries' bit size; leaves keep the additions on small entries and
 # leave the large ones to a few balanced Mat3 products.
-_LEAF = 64
-# A leaf packs each column into one int, A | C << 64 | E << 128 and
-# B | D << 64 | F << 128: a product of 64 generators has entries under
-# 2**46, so no lane carries into the next and a generator is one addition.
-_LANE = 64
-_MASK = (1 << _LANE) - 1
-_Y1 = 1 << _LANE  # 1 in the second-row lane
-_E1 = 1 << (2 * _LANE)  # 1 in the third-row lane
+_LEAF = 256
 
 
 def _leaf(word: GenWord) -> Mat3:
-    """rep of a word of at most _LEAF generators, by packed column additions."""
-    x, y = 1, _Y1  # columns (1, 0, 0) and (0, 1, 0)
+    """rep of a word of at most _LEAF generators, by packed column additions.
+
+    Each column is one int, A | C << w | E << 2w and B | D << w | F << 2w,
+    with lanes of w = 7n//10 + 1 bits for a word of n generators, so that
+    each generator is one addition.  The top lane, E or F, is never masked,
+    so no lane carries into the next while A, B, C and D stay below 2**w,
+    and they do: each generator adds one entry of each row, (A, B) and
+    (C, D), to the other, starting from (1, 0) and (0, 1), so after j
+    generators the larger entry of a row is at most the Fibonacci number
+    F(j+1) and the smaller at most F(j) (F(0) = 0, F(1) = 1); and F(n+1)
+    <= phi**n <= 2**(0.7n) < 2**w.  The bound is reached: the block of
+    GD'GD'... with n generators has the entry F(n+1), so a lane one bit
+    narrower carries at n = 7, where F(8) = 21 needs 5 bits.
+    """
+    w = len(word) * 7 // 10 + 1
+    y1 = 1 << w  # 1 in the second-row lane
+    e1 = 1 << (2 * w)  # 1 in the third-row lane
+    x, y = 1, y1  # columns (1, 0, 0) and (0, 1, 0)
     for g in word:
         if g is G:
             y += x
         elif g is GT:
-            y += x + _E1
+            y += x + e1
         elif g is DT:
             x += y
         elif g is D:
-            x += y + _E1
+            x += y + e1
         else:
             raise KeyError(g)
-    cx, cy = x >> _LANE, y >> _LANE
+    mask = y1 - 1
+    cx, cy = x >> w, y >> w
     return Mat3._of(
-        ((x & _MASK, y & _MASK, 0), (cx & _MASK, cy & _MASK, 0), (cx >> _LANE, cy >> _LANE, 1))
+        ((x & mask, y & mask, 0), (cx & mask, cy & mask, 0), (cx >> w, cy >> w, 1))
     )
 
 
@@ -153,13 +171,16 @@ def rep(word: GenWord) -> Mat3:
     """Representation matrix of a generator word: the ordered product of
     the generator matrices.
 
-    Each leaf of 64 generators is built by column additions on
+    Each leaf of up to 256 generators is built by column additions on
     (A, B, C, D, E, F): G adds column A,C,E to column B,D,F, G' also adds 1
     to F, D' adds column B,D,F to A,C,E, and D also adds 1 to E; the third
     column stays (0, 0, 1).  Each column is one packed int, so each
-    generator is one addition.  Neighbouring leaves are then multiplied
-    pairwise, level by level, so the large entries meet in a balanced tree
-    of Mat3 products.
+    generator is one addition, with lanes of 7n//10 + 1 bits for a leaf of
+    n generators: its A, B, C and D are at most the Fibonacci number F(n+1)
+    < 2**(7n//10 + 1), and E and F sit in the top lane, which is not masked
+    (the proof is _leaf's docstring).  Neighbouring leaves are then
+    multiplied pairwise, level by level, so the large entries meet in a
+    balanced tree of Mat3 products.
     """
     word = tuple(word)
     if len(word) <= _LEAF:
@@ -202,8 +223,9 @@ class Membership(_Value):
     __slots__ = _fields = ("ok", "certificate")
 
     def __init__(self, ok: bool, certificate: str | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "certificate", certificate)
+        put_ok, put_certificate = self._setters
+        put_ok(self, ok)
+        put_certificate(self, certificate)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -350,4 +372,4 @@ def decompose(matrix: Mat3) -> RunWord:
             append((DT, c - e))
         if e:
             append((D, e))
-    return RunWord(tuple(runs))
+    return RunWord._of(tuple(runs))

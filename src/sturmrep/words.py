@@ -140,16 +140,17 @@ class SlopeIntercept(_Value):
         upper = kind == UPPER
         if surd_sign(da, db, delta.m) < 0 or surd_sign(da - dc, db, delta.m) >= upper:
             raise DomainError("intercept out of range")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "kind", kind)
+        put_alpha, put_delta, put_kind, put_params = self._setters
+        put_alpha(self, alpha)
+        put_delta(self, delta)
+        put_kind(self, kind)
         # (1-alpha, alpha, delta) over lcm(c, dc); a zero intercept means
         # rho = l0+l1 for the upper sequence
         den = math.lcm(c, dc)
         k, kd = den // c, den // dc
         rho = (den, 0) if upper and da == db == 0 else (da * kd, db * kd)
         pairs = (common_field(delta.m, m), ((c - a) * k, -b * k), (a * k, b * k), rho)
-        object.__setattr__(self, "params", ParamVector._from_pairs(pairs, den, kind))
+        put_params(self, ParamVector._from_pairs(pairs, den, kind))
 
 
 class ParamVector(_Value):
@@ -192,7 +193,7 @@ class ParamVector(_Value):
         pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, rho)]
         self._init_pairs((m, *pairs), den, boundary)
         # canonical, so equal to the fields the pairs would give
-        object.__setattr__(self, "_values", (l0, l1, rho))
+        _PUT_VALUES(self, (l0, l1, rho))
 
     @classmethod
     def _from_pairs(cls, pairs: tuple, den: int, boundary: str) -> ParamVector:
@@ -216,11 +217,12 @@ class ParamVector(_Value):
         upper = boundary == UPPER
         if surd_sign(xa, xb, m) < upper or surd_sign(xa - l0a - l1a, xb - l0b - l1b, m) >= upper:
             raise DomainError("starting point outside the exchanged intervals")
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "pairs", (m, (l0a, l0b), (l1a, l1b), (xa, xb)))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_values", None)  # (l0, l1, rho), see _built
-        object.__setattr__(self, "_letters", None)  # (source, buffer), see iet_stream
+        put_boundary, put_pairs, put_den, put_values, put_letters = self._setters
+        put_boundary(self, boundary)
+        put_pairs(self, (m, (l0a, l0b), (l1a, l1b), (xa, xb)))
+        put_den(self, den)
+        put_values(self, None)  # (l0, l1, rho), see _built
+        put_letters(self, None)  # (source, buffer), see iet_stream
 
     def _built(self) -> tuple:
         # the fields, built from the pairs on the first read of any of them
@@ -228,8 +230,13 @@ class ParamVector(_Value):
             m, *parts = self.pairs
             den = self.den
             values = tuple(QuadExt._in_field(a, b, den, m) for a, b in parts)
-            object.__setattr__(self, "_values", values)
+            _PUT_VALUES(self, values)
         return self._values
+
+
+# the setters of the slots _values and _letters, which a vector may fill
+# after its constructor
+_PUT_VALUES, _PUT_LETTERS = ParamVector._setters[3:]
 
 
 def _repeated(word: str, n: int) -> Iterator[str]:
@@ -318,7 +325,7 @@ def iet_stream(v: ParamVector) -> PrefixStream:
     letters = v._letters
     if letters is None or letters[0].gi_frame is None:  # none yet, or ended
         letters = (_iet_letters(v.pairs, v.boundary), bytearray())
-        object.__setattr__(v, "_letters", letters)
+        _PUT_LETTERS(v, letters)
     return PrefixStream(letters[0], v, letters[1])
 
 

@@ -164,6 +164,39 @@ def test_compose_of_a_long_run_is_one_repetition():
     assert phi == BinaryMorphism(y + "10", y)
 
 
+@pytest.mark.parametrize(
+    "runs, error",
+    [
+        (((G, -1), (D, 2)), ValueError),
+        (((G, 0),), ValueError),
+        (((G, 1), (G, 1)), ValueError),
+        (((D, 3), (DT, 1), (DT, 2)), ValueError),
+        (((G, 1.0),), TypeError),
+        (((G, True),), TypeError),
+        (((G, "2"),), TypeError),
+        ((("G", 1),), TypeError),
+        (((G,),), TypeError),
+        (((G, 1, 1),), TypeError),
+        (([G, 1],), TypeError),
+        ((G,), TypeError),
+    ],
+    ids=repr,
+)
+def test_run_word_refuses_runs_that_are_not_maximal_or_positive(runs, error):
+    # unchecked, ((G, -1), (D, 2)) would compose to the morphism of DD and
+    # have len 1, and ((G, 1), (G, 1)) would differ from ((G, 2),)
+    with pytest.raises(error):
+        RunWord(runs)
+
+
+def test_run_word_takes_any_iterable_of_runs_and_stores_a_tuple():
+    runs = [(G, 2), (DT, 10**30), (G, 1)]
+    word = RunWord(iter(runs))
+    assert word.runs == tuple(runs) and type(word.runs) is tuple
+    assert word == RunWord(tuple(runs)) and RunWord(()).runs == ()
+    assert RunWord(((G, 2),)) == decompose(rep((G, G)))
+
+
 def test_format_genword_of_a_long_run_is_one_repetition():
     t0 = time.perf_counter()
     text = format_genword(RunWord(((DT, 10**7),)))

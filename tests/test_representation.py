@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sturmrep.errors import DomainError, MembershipError, ParseError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, RunWord, compose, format_genword, parse_genword
+from sturmrep.morphisms import D, DT, G, GT, Mat2, RunWord, compose, format_genword, parse_genword
 from sturmrep.representation import (
     Mat3,
     check_membership,
@@ -27,10 +27,13 @@ genwords = st.lists(st.sampled_from(ALL), max_size=12).map(tuple)
 # words with long runs of one generator, so that decompose takes large quotients
 runs = st.tuples(st.sampled_from(ALL), st.integers(1, 1000)).map(lambda gk: (gk[0],) * gk[1])
 runwords = st.lists(st.one_of(genwords, runs), max_size=6).map(lambda parts: sum(parts, ()))
-# rep builds leaves of 64 generators: lengths next to a multiple of 64 put
-# a leaf boundary at the end of the word, or one letter either side of it
+# rep builds leaves of 256 generators: lengths next to a multiple of 256
+# put a leaf boundary at the end of the word, or one letter either side of
+# it; those next to a multiple of 64, the leaf size of earlier versions,
+# stay as cases
 lengths = st.one_of(
     st.integers(0, 3000),
+    st.builds(lambda k, d: 256 * k + d, st.integers(1, 12), st.sampled_from((-1, 0, 1))),
     st.builds(lambda k, d: 64 * k + d, st.integers(1, 46), st.sampled_from((-1, 0, 1))),
 )
 randomwords = st.builds(
@@ -81,26 +84,61 @@ def test_rep_matches_bruteforce_product(w):
 
 def test_rep_at_leaf_boundaries():
     rng = random.Random(8)
-    for n in (63, 64, 65, 127, 128, 129, 64 * 7 + 1):
+    for n in (63, 64, 65, 127, 128, 129, 64 * 7 + 1, 255, 256, 257, 511, 512, 513, 256 * 7 + 1):
         w = tuple(rng.choices(ALL, k=n))
         assert rep(w).rows == rep_by_products(tokens(w))
         assert rep(iter(w)) == rep(list(w)) == rep(w)
 
 
-@pytest.mark.parametrize("text", ["GD'" * 32, "G'D" * 32, "D" * 64, "G'" * 64])
+def lane_bits(n):
+    # the lane width of rep's packed leaf of n generators
+    return n * 7 // 10 + 1
+
+
+def fibonacci(k):
+    a, b = 0, 1  # F(0), F(1)
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def block_max(rows):
+    return max(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["GD'" * 128, "G'D" * 128, "D" * 256, "G'" * 256, "GD'" * 32, "G'D" * 32, "D" * 64, "G'" * 64],
+)
 def test_rep_of_extreme_leaves(text):
     # one full leaf whose entries grow fastest, or whose third row does:
     # no packed column may carry from one entry into the next
     w = parse_genword(text)
-    assert len(w) == 64
+    assert len(w) in (256, 64)
     rows = rep(w).rows
     assert rows == rep_by_products(tokens(w))
-    assert max(max(r) for r in rows) < 2**46
+    assert max(max(r) for r in rows) < 2 ** lane_bits(len(w))
+
+
+def test_rep_reaches_the_lane_bound():
+    # the block of a word of n generators has entries at most F(n+1), and
+    # GD'GD'... reaches it: a lane one bit narrower than lane_bits(n)
+    # carries at n = 7, where F(8) = 21 needs 5 bits
+    for n in range(7):
+        for w in product(ALL, repeat=n):
+            rows = rep(w).rows
+            assert rows == rep_by_products(tokens(w))
+            assert block_max(rows) <= fibonacci(n + 1)
+    for n in range(257):
+        w = ((G, DT) * 128)[:n]
+        rows = rep(w).rows
+        assert rows == rep_by_products(tokens(w))
+        assert block_max(rows) == fibonacci(n + 1) < 2 ** lane_bits(n)
 
 
 def test_rep_of_a_long_word_stays_fast():
     # column additions alone are quadratic in the entries' bit size (several
-    # seconds here); the product tree over 64-letter leaves keeps this well
+    # seconds here); the product tree over 256-letter leaves keeps this well
     # under the bound
     rng = random.Random(13)
     w = tuple(rng.choices(ALL, k=3 * 10**5))
@@ -487,6 +525,38 @@ def test_mat3_needs_3x3_rows(rows):
     with pytest.raises(ValueError) as info:
         Mat3(rows)
     assert str(info.value) == "need 3x3 rows"
+
+
+@pytest.mark.parametrize(
+    "bad", [1.5, Fraction(3, 2), Fraction(1), True, False, 1.0, "1", None], ids=repr
+)
+def test_mat3_and_mat2_take_int_entries_only(bad):
+    # a float or Fraction entry once made a "member" that decompose failed
+    # on; a bool is refused too, as parse_int_rows refuses JSON true
+    for i in range(9):
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        rows[i // 3][i % 3] = bad
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            Mat3(rows)
+    for i in range(4):
+        entries = [1, 0, 0, 1]
+        entries[i] = bad
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            Mat2(*entries)
+
+
+def test_non_integer_matrices_are_refused_before_any_check_reads_them():
+    # unchecked, the first passed check_membership and ended decompose in an
+    # AssertionError, and the float block was primitive
+    with pytest.raises(TypeError):
+        check_membership(Mat3(((1.5, 0.5, 0), (1, 1, 0), (0, 0, 1))))
+    with pytest.raises(TypeError):
+        Mat3(((Fraction(3, 2), Fraction(1, 2), 0), (1, 1, 0), (0, 0, 1)))
+    with pytest.raises(TypeError):
+        Mat2(1.5, 0.5, 1, 1).is_primitive()
+    # an int subclass other than bool is no int either
+    with pytest.raises(TypeError):
+        Mat3(((1, 0, 0), (0, 1, 0), (0, 0, type("Int", (int,), {})(1))))
 
 
 def test_mat3_rows_as_lists_are_rows_as_tuples():

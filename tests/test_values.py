@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from sturmrep import (
+    LOWER,
     UPPER,
     BinaryMorphism,
     EigenData,
@@ -24,6 +25,7 @@ from sturmrep import (
     dominant_eigen,
     parse_genword,
 )
+from sturmrep.exactfield import _Value
 from sturmrep.morphisms import D, DT, G, GT
 from sturmrep.verify import SuiteResult
 
@@ -83,6 +85,11 @@ IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
 
 def test_every_record_is_covered():
     assert {cls for cls, _, _ in CASES} == set(FIELDS)
+    # QuadExt has tests of its own, here and in test_exactfield
+    assert set(_Value.__subclasses__()) == set(FIELDS) | {QuadExt}
+    # slots that hold no field, which the slot tests below reach as well
+    assert {"pairs", "den", "_values", "_letters"} < set(ParamVector.__slots__)
+    assert "params" in SlopeIntercept.__slots__
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=IDS)
@@ -169,3 +176,73 @@ def test_operators_and_argument_checks(call, want):
     else:
         got = call()
         assert got == want and type(got) is type(want)
+
+
+ROWS = ((1, 2, 0), (1, 3, 0), (1, 2, 1))
+# each private constructor, which writes its fields unchecked, with the
+# public call that builds the same value: (private, public)
+PRIVATE = {
+    "BinaryMorphism._of": (
+        lambda: BinaryMorphism._of("01", "1"), lambda: BinaryMorphism("01", "1")
+    ),
+    "Mat3._of": (lambda: Mat3._of(ROWS), lambda: Mat3(ROWS)),
+    "Mat3-product": (lambda: Mat3(ROWS) * Mat3.identity(), lambda: Mat3([list(r) for r in ROWS])),
+    "RunWord._of": (
+        lambda: RunWord._of(((D, 1), (G, 2), (DT, 2**70))),
+        lambda: RunWord(((D, 1), (G, 2), (DT, 2**70))),
+    ),
+    "QuadExt._in_field": (lambda: QuadExt._in_field(2, -4, -6, 3), lambda: QuadExt(2, -4, -6, 3)),
+    "QuadExt._in_field-rational": (
+        lambda: QuadExt._in_field(4, 0, 6, 3), lambda: QuadExt(4, 0, 6)
+    ),
+    "QuadExt-sum": (lambda: R2 + QuadExt(1, 0, 3), lambda: QuadExt(1, 3, 3, 2)),
+    "ParamVector._from_pairs": (
+        lambda: ParamVector._from_pairs((2, (4, -2), (-2, 2), (1, 0)), 2, LOWER),
+        lambda: ParamVector(2 - R2, R2 - 1, QuadExt(1, 0, 2)),
+    ),
+    "SlopeIntercept.params": (
+        lambda: SlopeIntercept(R2 - 1, 1, UPPER).params,
+        lambda: ParamVector(2 - R2, R2 - 1, 1, UPPER),
+    ),
+    "EigenData-vector": (
+        lambda: dominant_eigen(parse_genword("DGG")).vector,
+        lambda: ParamVector(*DGG_VECTOR),
+    ),
+}
+
+
+def slots_of(cls):
+    # every slot of the class, its fields and the slots that hold no field
+    return [name for k in cls.__mro__ for name in k.__dict__.get("__slots__", ())]
+
+
+@pytest.mark.parametrize("private, public", PRIVATE.values(), ids=PRIVATE.keys())
+def test_privately_built_values_equal_their_publicly_built_twins(private, public):
+    x, y = private(), public()
+    assert type(x) is type(y) and x == y and hash(x) == hash(y) and repr(x) == repr(y)
+    for z in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(z) is type(y) and z == y and hash(z) == hash(y) and repr(z) == repr(y)
+    # a slot that no setter wrote would raise AttributeError here
+    for name in slots_of(type(x)):
+        getattr(x, name)
+    if isinstance(x, ParamVector):
+        assert (x.pairs, x.den) == (y.pairs, y.den)
+
+
+BUILT = {key: (lambda c=cls, a=args: c(*a)) for key, (cls, args, _) in zip(IDS, CASES)}
+BUILT.update({name: private for name, (private, _) in PRIVATE.items()})
+BUILT["QuadExt"] = lambda: QuadExt(3, -1, 3, 3)
+
+
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+def test_every_slot_refuses_assignment_and_deletion(build):
+    # the fields, and the slots that are no field: ParamVector's pairs, den,
+    # _values and _letters and SlopeIntercept's params
+    x = build()
+    for name in slots_of(type(x)):
+        before = getattr(x, name)
+        with pytest.raises(AttributeError):
+            setattr(x, name, before)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) is before
