@@ -25,8 +25,14 @@ from .representation import Mat3, check_membership, decompose, rep
 from .sqroot import square_decomposition, square_root_stream, sqrt_fixing_morphism
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
 
-# decompose prints a word of at most this many generators (10 to 20 MB of text)
-MAX_PRINTED_GENERATORS = 10**7
+# decompose prints a word of at most this many generators (10 to 20 MB of
+# text), compose and conjugates morphisms of at most this many letters
+MAX_PRINTED = 10**7
+
+
+def _check_printable(what: str, count: int, unit: str) -> None:
+    if count > MAX_PRINTED:
+        raise DomainError(f"the {what} has {count} {unit}, more than {MAX_PRINTED} can be printed")
 
 
 def non_negative_int(text: str) -> int:
@@ -98,7 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd(args, out) -> int:
     if args.command == "compose":
-        print(compose(parse_genword(args.genword)), file=out)
+        word = parse_genword(args.genword)
+        # the images have A+B+C+D letters, read off rep before they are built
+        _check_printable("morphism", sum(rep(word).named()[:4]), "letters")
+        print(compose(word), file=out)
     elif args.command == "apply":
         phi = BinaryMorphism.parse(args.morphism)
         if set(args.word) - {"0", "1"}:
@@ -109,12 +118,7 @@ def _cmd(args, out) -> int:
     elif args.command == "decompose":
         word = decompose(Mat3.parse(args.matrix))
         # not by len, which overflows past sys.maxsize generators
-        count = sum(k for _, k in word.runs)
-        if count > MAX_PRINTED_GENERATORS:
-            raise DomainError(
-                f"the factorization has {count} generators, more than "
-                f"{MAX_PRINTED_GENERATORS} can be printed"
-            )
+        _check_printable("factorization", sum(k for _, k in word.runs), "generators")
         print(format_genword(word), file=out)
     elif args.command == "membership":
         verdict = check_membership(Mat3.parse(args.matrix))
@@ -139,7 +143,13 @@ def _cmd(args, out) -> int:
         )
         print(mechanical(si, args.length), file=out)
     elif args.command == "conjugates":
-        for phi in conjugates_of(Mat2.parse(args.matrix)):
+        matrix = Mat2.parse(args.matrix)
+        n = sum(matrix.entries())
+        # n - 1 morphisms of n letters each; a matrix that conjugates_of
+        # refuses gets its error from there
+        if min(matrix.entries()) >= 0 and matrix.det() == 1:
+            _check_printable("family", (n - 1) * n, "letters")
+        for phi in conjugates_of(matrix):
             print(phi, file=out)
     elif args.command == "sqrt":
         stream = fixed_point_stream(parse_genword(args.genword))

@@ -29,9 +29,7 @@ from .words import LOWER, UPPER, ParamVector, PrefixStream, iet_stream, params_o
 def image_params(word: GenWord, v: ParamVector) -> ParamVector:
     """Parameter vector of the image sequence: the representation matrix
     applied to the vector, boundary kind unchanged."""
-    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
-    pairs = [(p * l0a + q * l1a + t * xa, p * l0b + q * l1b + t * xb) for p, q, t in rep(word).rows]
-    return ParamVector._from_pairs((m, *pairs), v.den, v.boundary)
+    return v._image(rep(word).rows)
 
 
 class EigenData(_Value):
@@ -200,8 +198,5 @@ def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
 
 def yasutomi_check(eigen: EigenData) -> YasutomiReport:
     """yasutomi_condition on the slope l1 and the intercept rho of the
-    eigenvector, built from its pairs: l0 is not read, so not built."""
-    v = eigen.vector
-    m, _, (l1a, l1b), (xa, xb) = v.pairs
-    alpha = QuadExt._in_field(l1a, l1b, v.den, m)
-    return yasutomi_condition(alpha, QuadExt._in_field(xa, xb, v.den, m))
+    eigenvector."""
+    return yasutomi_condition(eigen.vector.l1, eigen.vector.rho)

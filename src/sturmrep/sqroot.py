@@ -28,7 +28,7 @@ from .errors import DomainError, NotPrimitiveError, ScanBoundError
 from .exactfield import _Value
 from .morphisms import GenWord, compose, format_genword, is_primitive_block
 from .representation import Mat3, decompose, rep
-from .words import DEFAULT_SCAN_BOUND, ParamVector, PrefixStream, iet_stream
+from .words import DEFAULT_SCAN_BOUND, PrefixStream, iet_stream
 
 _SQUARE = re.compile(r"(.+?)\1")  # shortest square prefix, as a regex
 
@@ -81,9 +81,7 @@ def square_root_stream(stream: PrefixStream) -> PrefixStream:
     # psi moves rho, not the intercept: for the upper kind rho = l0+l1
     # stands for intercept 0.  (l0, l1, (rho+l0)/2) over den is
     # (2 l0, 2 l1, rho+l0) over 2 den
-    m, (l0a, l0b), (l1a, l1b), (xa, xb) = v.pairs
-    pairs = (m, (2 * l0a, 2 * l0b), (2 * l1a, 2 * l1b), (xa + l0a, xb + l0b))
-    return iet_stream(ParamVector._from_pairs(pairs, 2 * v.den, v.boundary))
+    return iet_stream(v._image(((2, 0, 0), (0, 2, 0), (1, 0, 1)), 2))
 
 
 class SquareDecomposition(_Value):

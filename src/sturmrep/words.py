@@ -9,11 +9,11 @@ induction), so the engine goes down level by level, composing the run
 words, until a run holds 64 letters or more; there one sign test decides a
 run.  A parameter vector is those integer pairs, checked once: slopes
 and intercepts, eigenvectors and the maps on vectors build it from pairs,
-and its QuadExt fields only when read.  Each vector holds one run of the
-engine, which all its streams read; a seek starts the orbit at any letter
-after one exact floor.  A mechanical sequence of slope alpha and intercept
-delta is the coding of the parameter vector (1-alpha, alpha, delta), see
-params_of.
+and each read of a QuadExt field builds it from them.  Each vector holds
+one run of the engine, which all its streams read; a seek starts the
+orbit at any letter after one exact floor.  A mechanical sequence of slope
+alpha and intercept delta is the coding of the parameter vector
+(1-alpha, alpha, delta), see params_of.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ class ParamVector(_Value):
     pairs is (m, l0, l1, rho) with each value an integer pair (a, b) for
     (a + b*sqrt(m))/den over one denominator den > 0, the seven integers
     without a common factor, so the pairs are canonical.  They are what
-    the vector is built from, checked and coded: the domain checks and the
-    2iet engine read them, and the QuadExt fields l0, l1 and rho are built
-    from them on first read (the constructor keeps those it is given).
+    the vector is built from, checked and coded, and all it stores: the
+    domain checks, the 2iet engine and the maps on vectors (_image) read
+    them, and each read of l0, l1 or rho builds that QuadExt from them.
     Equality, hash, repr, pickling and copies read the four fields.
 
     The vector also holds the one letter source of its 2iet sequence, which
@@ -177,10 +177,10 @@ class ParamVector(_Value):
     """
 
     _fields = ("l0", "l1", "rho", "boundary")
-    __slots__ = ("boundary", "pairs", "den", "_values", "_letters")
-    l0 = property(lambda v: v._built()[0])
-    l1 = property(lambda v: v._built()[1])
-    rho = property(lambda v: v._built()[2])
+    __slots__ = ("boundary", "pairs", "den", "_letters")
+    l0 = property(lambda v: QuadExt._in_field(*v.pairs[1], v.den, v.pairs[0]))
+    l1 = property(lambda v: QuadExt._in_field(*v.pairs[2], v.den, v.pairs[0]))
+    rho = property(lambda v: QuadExt._in_field(*v.pairs[3], v.den, v.pairs[0]))
 
     def __init__(self, l0: QuadExt, l1: QuadExt, rho: QuadExt, boundary: str = LOWER):
         l0, l1, rho = _as_field(l0), _as_field(l1), _as_field(rho)
@@ -192,8 +192,6 @@ class ParamVector(_Value):
         den = math.lcm(l0.c, l1.c, rho.c)
         pairs = [(p.a * (den // p.c), p.b * (den // p.c)) for p in (l0, l1, rho)]
         self._init_pairs((m, *pairs), den, boundary)
-        # canonical, so equal to the fields the pairs would give
-        _PUT_VALUES(self, (l0, l1, rho))
 
     @classmethod
     def _from_pairs(cls, pairs: tuple, den: int, boundary: str) -> ParamVector:
@@ -217,26 +215,22 @@ class ParamVector(_Value):
         upper = boundary == UPPER
         if surd_sign(xa, xb, m) < upper or surd_sign(xa - l0a - l1a, xb - l0b - l1b, m) >= upper:
             raise DomainError("starting point outside the exchanged intervals")
-        put_boundary, put_pairs, put_den, put_values, put_letters = self._setters
+        put_boundary, put_pairs, put_den, put_letters = self._setters
         put_boundary(self, boundary)
         put_pairs(self, (m, (l0a, l0b), (l1a, l1b), (xa, xb)))
         put_den(self, den)
-        put_values(self, None)  # (l0, l1, rho), see _built
         put_letters(self, None)  # (source, buffer), see iet_stream
 
-    def _built(self) -> tuple:
-        # the fields, built from the pairs on the first read of any of them
-        if self._values is None:
-            m, *parts = self.pairs
-            den = self.den
-            values = tuple(QuadExt._in_field(a, b, den, m) for a, b in parts)
-            _PUT_VALUES(self, values)
-        return self._values
+    def _image(self, rows, scale: int = 1) -> ParamVector:
+        # the integer rows (p, q, t) applied to (l0, l1, rho), over
+        # scale * den, boundary kind unchanged
+        m, (l0a, l0b), (l1a, l1b), (xa, xb) = self.pairs
+        pairs = [(p * l0a + q * l1a + t * xa, p * l0b + q * l1b + t * xb) for p, q, t in rows]
+        return ParamVector._from_pairs((m, *pairs), scale * self.den, self.boundary)
 
 
-# the setters of the slots _values and _letters, which a vector may fill
-# after its constructor
-_PUT_VALUES, _PUT_LETTERS = ParamVector._setters[3:]
+# the setter of the slot _letters, which a vector fills after its constructor
+_PUT_LETTERS = ParamVector._setters[3]
 
 
 def _repeated(word: str, n: int) -> Iterator[str]:

@@ -1,15 +1,20 @@
 """Parameter vectors built from integer pairs: SlopeIntercept, the dominant
 eigenvector, the square root map psi and image_params build a ParamVector
-from (m, l0, l1, rho) pairs over one denominator, and its QuadExt fields
-only on first read.  Each must equal the vector ParamVector builds from the
-fields that QuadExt arithmetic gives, in every respect a caller sees."""
+from (m, l0, l1, rho) pairs over one denominator, and each read of a
+QuadExt field builds it from them.  Each must equal the vector ParamVector
+builds from the fields that QuadExt arithmetic gives, in every respect a
+caller sees."""
 
+import ast
 import itertools
+import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sturmrep
 from sturmrep.dynamics import dominant_eigen, image_params
 from sturmrep.errors import DomainError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
@@ -25,9 +30,12 @@ GENERATORS = (G, GT, D, DT)
 
 
 def _assert_same_vector(built: ParamVector, fields: ParamVector) -> None:
-    # built comes from pairs and has had no field read; its pickle goes
-    # first, so that pickling builds the fields itself
-    assert built._values is None
+    # built comes from pairs, which are all it stores: each read of a field
+    # builds a new QuadExt, canonical and equal to the field path's
+    for name in ("l0", "l1", "rho"):
+        x, again, want = getattr(built, name), getattr(built, name), getattr(fields, name)
+        assert x is not again and x == again == want and repr(x) == repr(want)
+        assert x.c > 0 and math.gcd(x.a, x.b, x.c) == 1 and (x.m is None) == (x.b == 0)
     pickled = pickle.dumps(built)
     assert built.pairs == fields.pairs and built.den == fields.den
     assert built == fields and hash(built) == hash(fields)
@@ -149,3 +157,16 @@ def test_out_of_domain_pairs_raise_the_field_path_messages(fields, message):
         with pytest.raises(DomainError) as by_pairs:
             ParamVector._from_pairs(pairs, scale * den, boundary)
         assert str(by_pairs.value) == str(by_fields.value) == message
+
+
+def test_only_words_reads_the_pairs_of_a_vector():
+    # how a ParamVector stores its values is known in words.py only: every
+    # other module reads its fields or maps it through ParamVector._image
+    sources = sorted(Path(sturmrep.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        if path.name == "words.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in ("pairs", "den"), f"{path.name}:{node.lineno}: .{node.attr}"

@@ -87,8 +87,9 @@ def test_every_record_is_covered():
     assert {cls for cls, _, _ in CASES} == set(FIELDS)
     # QuadExt has tests of its own, here and in test_exactfield
     assert set(_Value.__subclasses__()) == set(FIELDS) | {QuadExt}
-    # slots that hold no field, which the slot tests below reach as well
-    assert {"pairs", "den", "_values", "_letters"} < set(ParamVector.__slots__)
+    # slots that hold no field, which the slot tests below reach as well;
+    # a ParamVector stores its pairs, not its QuadExt fields
+    assert set(ParamVector.__slots__) == {"boundary", "pairs", "den", "_letters"}
     assert "params" in SlopeIntercept.__slots__
 
 
@@ -117,7 +118,10 @@ def test_fields_cannot_be_assigned_or_deleted(cls, args, text):
             setattr(x, name, before)
         with pytest.raises(AttributeError):
             delattr(x, name)
-        assert getattr(x, name) is before
+        # a field with no slot (ParamVector's l0, l1 and rho) is built on
+        # each read, so a later read is equal, not the same object
+        view = isinstance(getattr(cls, name), property)
+        assert getattr(x, name) == before if view else getattr(x, name) is before
     with pytest.raises(AttributeError):
         x.extra = 1
 
@@ -134,13 +138,22 @@ def test_pickle_and_deepcopy_round_trips(cls, args, text):
         assert type(y) is cls and y == x and hash(y) == hash(x) and repr(y) == text
 
 
-def test_param_vector_equality_ignores_pairs():
+def test_param_vector_fields_are_read_from_its_pairs():
     x, y = ParamVector(*DGG_VECTOR), ParamVector(*DGG_VECTOR)
-    object.__setattr__(y, "pairs", None)
     assert x == y and hash(x) == hash(y)
-    assert "pairs" not in repr(x)
-    # the pairs are derived: a pickled vector computes them again
-    assert pickle.loads(pickle.dumps(y)).pairs == x.pairs
+    assert "pairs" not in repr(x) and "den" not in repr(x)
+    # every read builds the field again, equal and canonical each time
+    for name, value in zip(("l0", "l1", "rho"), DGG_VECTOR):
+        first, again = getattr(x, name), getattr(x, name)
+        assert first is not again and first == again == value and repr(again) == repr(value)
+    # the pairs are the state the fields are read from: pairs written under
+    # a vector change its fields, its equality and its hash
+    other = ParamVector(*DGG_VECTOR[:2], QuadExt(0))
+    object.__setattr__(y, "pairs", other.pairs)
+    assert (y.l0, y.l1, y.rho) == (other.l0, other.l1, other.rho)
+    assert y == other and y != x and hash(y) == hash(other)
+    # a pickled vector is built from its fields and computes the pairs again
+    assert pickle.loads(pickle.dumps(x)).pairs == x.pairs
     assert dominant_eigen(parse_genword("DGG")).vector == x
 
 
@@ -236,8 +249,8 @@ BUILT["QuadExt"] = lambda: QuadExt(3, -1, 3, 3)
 
 @pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
 def test_every_slot_refuses_assignment_and_deletion(build):
-    # the fields, and the slots that are no field: ParamVector's pairs, den,
-    # _values and _letters and SlopeIntercept's params
+    # the fields, and the slots that are no field: ParamVector's pairs, den
+    # and _letters and SlopeIntercept's params
     x = build()
     for name in slots_of(type(x)):
         before = getattr(x, name)
