@@ -26,7 +26,7 @@ from .sqroot import square_decomposition, square_root_stream, sqrt_fixing_morphi
 from .words import LOWER, UPPER, SlopeIntercept, iet_stream, mechanical
 
 # decompose prints a word of at most this many generators (10 to 20 MB of
-# text), compose and conjugates morphisms of at most this many letters
+# text), compose, conjugates and sqrt-morphism at most this many letters
 MAX_PRINTED = 10**7
 
 
@@ -158,7 +158,10 @@ def _cmd(args, out) -> int:
         else:
             print(square_root_stream(stream).prefix(args.length), file=out)
     elif args.command == "sqrt-morphism":
-        print(sqrt_fixing_morphism(parse_genword(args.genword)), file=out)
+        root = sqrt_fixing_morphism(parse_genword(args.genword))
+        # psi's images have A+B+C+D letters; str(root) composes them
+        _check_printable("morphism", sum(rep(root.genword).named()[:4]), "letters")
+        print(root, file=out)
     elif args.command == "verify":
         # imported here, so that no other command loads the suites
         from .verify import SUITES, run_suite

@@ -33,10 +33,11 @@ def image_params(word: GenWord, v: ParamVector) -> ParamVector:
 
 
 class EigenData(_Value):
-    """Dominant eigenvalue (a quadratic unit > 1), the eigenvector scaled to
-    l0 + l1 = 1, and the square-free radicand of their field."""
+    """Dominant eigenvalue (a quadratic unit > 1) and the eigenvector scaled
+    to l0 + l1 = 1; field is the eigenvalue's square-free radicand."""
 
-    __slots__ = _fields = ("eigenvalue", "vector", "field")
+    __slots__ = _fields = ("eigenvalue", "vector")
+    field = property(lambda eigen: eigen.eigenvalue.m)
 
 
 def dominant_eigen(word: GenWord) -> EigenData:
@@ -44,7 +45,7 @@ def dominant_eigen(word: GenWord) -> EigenData:
     if not is_primitive_block(a, b, c, d):
         raise NotPrimitiveError(f"{format_genword(word) or 'identity'} is not primitive")
     p = a + d
-    # eigenvalue root of X^2 - pX + 1; radicand p^2-4 = (p-2)(p+2)
+    # eigenvalue root of X^2 - pX + 1; radicand p^2-4 = (p-2)(p+2), no square as p >= 3
     f1, m1 = square_free_split(p - 2)
     f2, m2 = square_free_split(p + 2)
     g = math.gcd(m1, m2)
@@ -63,7 +64,7 @@ def dominant_eigen(word: GenWord) -> EigenData:
     x = (2 * b * u * nw, -2 * b * r * nw)
     y = ((n - 2 * b * u) * nw, 2 * b * r * nw)
     boundary = UPPER if zb == 0 and za == den else LOWER
-    return EigenData(lam, ParamVector._from_pairs((m, x, y, (za, zb)), den, boundary), m)
+    return EigenData(lam, ParamVector._from_pairs((m, x, y, (za, zb)), den, boundary))
 
 
 def fixed_point_params(word: GenWord) -> ParamVector:

@@ -106,11 +106,12 @@ def square_decomposition(stream: PrefixStream, blocks: int) -> SquareDecompositi
 class SqrtMorphism(_Value):
     """Fixing morphism of the square root: psi fixes the root stream of the
     fixed point and is the conjugate by the root map of the k-th power of
-    the input morphism, k <= 4, and genword is its factorization as the
-    RunWord decompose returns.  Its images are palindromes of odd length
-    when the fixed point is characteristic."""
+    the input morphism, k <= 4; genword, the RunWord decompose returns,
+    defines it, and its images, palindromes of odd length when the fixed
+    point is characteristic, are composed on each read of morphism."""
 
-    __slots__ = _fields = ("morphism", "power", "genword")
+    __slots__ = _fields = ("power", "genword")
+    morphism = property(lambda root: compose(root.genword))
 
     def __str__(self) -> str:
         return (
@@ -121,8 +122,8 @@ class SqrtMorphism(_Value):
 
 
 def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
-    """Construct the morphism fixing the square root of the fixed point of
-    the given primitive word.
+    """The morphism fixing the square root of the fixed point of the given
+    primitive word, as k and its generator word; no image is composed.
 
     The root map psi is the linear map with rows (1,0,0), (0,1,0),
     (1/2,0,1/2), so psi(v) is an eigenvector of psi M^k psi^-1 whenever v
@@ -147,6 +148,6 @@ def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
         if t0 % 2 == 0 and t1 % 2 == 0:
             lifted = Mat3._of(((a, b, 0), (c, d, 0), (t0 // 2, t1 // 2, 1)))
             genword = decompose(lifted)
-            return SqrtMorphism(compose(genword), k, genword)
+            return SqrtMorphism(k, genword)
         power = power * matrix
     raise AssertionError("no integral row with k <= 4; S4 has no larger order")

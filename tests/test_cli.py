@@ -11,6 +11,7 @@ from sturmrep import cli
 from sturmrep.cli import run
 from sturmrep.morphisms import G, Mat2, compose, conjugates_of, parse_genword
 from sturmrep.representation import rep
+from sturmrep.sqroot import sqrt_fixing_morphism
 
 from oracles import mechanical_oracle
 
@@ -213,33 +214,41 @@ def _capped_child(*argv):
     )
 
 
-def test_compose_and_conjugates_refuse_to_print_more_than_10_7_letters():
+def test_compose_conjugates_and_sqrt_morphism_refuse_to_print_more_than_10_7_letters():
     # (GD')^k has A+B+C+D = F(2k+3) letters: 2.4e7 for k = 17, 4.5e13 for
     # k = 32; the family of a det-1 matrix of entry sum n has (n-1)*n
     # letters: 3163 is the least n past the cap, and the block of (GD')^12
-    # has n = 196418
+    # has n = 196418.  The square-root morphism of (DGG)^12 (k = 1) is just
+    # past the cap, that of (GD')^11 (k = 3) far past it
     block = rep(parse_genword("GD'" * 12)).block()
     cases = [
         (("compose", "GD'" * 17), "the morphism has 24157817 letters"),
         (("compose", "GD'" * 32), "the morphism has 44945570212853 letters"),
         (("conjugates", "--matrix", "[[1,0],[3161,1]]"), "the family has 10001406 letters"),
         (("conjugates", "--matrix", str(block)), f"the family has {196417 * 196418} letters"),
+        (("sqrt-morphism", "DGG" * 12), "the morphism has 13623482 letters"),
+        (("sqrt-morphism", "GD'" * 11), "the morphism has 117669030460994 letters"),
     ]
     for argv, text in cases:
         done = _capped_child(*argv)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr == f"error: {text}, more than 10000000 can be printed\n"
-    # a parse error and the checks of conjugates_of come first
+    # a parse error and the checks of conjugates_of and sqrt_fixing_morphism
+    # come first
     assert _capped_child("compose", "GD'" * 32 + "X").returncode == 2
+    assert _capped_child("sqrt-morphism", "GD'" * 11 + "X").returncode == 2
     for matrix, text in (("[[2,0],[3161,1]]", "incidence matrix must have determinant 1"),
                          ("[[-1,0],[3165,1]]", "incidence matrices have non-negative entries")):
         done = _capped_child("conjugates", "--matrix", matrix)
         assert (done.returncode, done.stderr) == (1, f"error: {text}\n")
+    done = _capped_child("sqrt-morphism", "")
+    assert (done.returncode, done.stderr) == (1, "error: identity is not primitive\n")
 
 
-def test_compose_and_conjugates_print_up_to_the_cap(monkeypatch):
-    # just under the cap in a child: (GD')^16 has 9227465 letters, and the
-    # 3161 members of entry sum 3162 have 9995082
+def test_compose_conjugates_and_sqrt_morphism_print_up_to_the_cap(monkeypatch):
+    # just under the cap in a child: (GD')^16 has 9227465 letters, the
+    # 3161 members of entry sum 3162 have 9995082, and the square-root
+    # morphism of (GD')^5 has 3524578
     word = "GD'" * 16
     done = _capped_child("compose", word)
     assert (done.returncode, done.stderr) == (0, "")
@@ -247,8 +256,12 @@ def test_compose_and_conjugates_print_up_to_the_cap(monkeypatch):
     done = _capped_child("conjugates", "--matrix", "[[1,0],[3160,1]]")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines() == [str(phi) for phi in conjugates_of(Mat2(1, 0, 3160, 1))]
+    word = "GD'" * 5
+    done = _capped_child("sqrt-morphism", word)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{sqrt_fixing_morphism(parse_genword(word))}\n"
     # at the cap exactly, in process: DGG has 7 letters, a family of entry
-    # sum 4 has 12
+    # sum 4 has 12, and the square-root morphism of DGG has 7 + 19
     monkeypatch.setattr(cli, "MAX_PRINTED", 7)
     assert capture(["compose", "DGG"]) == (0, "0->10,1->10101\n")
     assert capture(["compose", "DGGG"])[0] == 1
@@ -257,6 +270,9 @@ def test_compose_and_conjugates_print_up_to_the_cap(monkeypatch):
         0, "0->0,1->001\n0->0,1->010\n0->0,1->100\n"
     )
     assert capture(["conjugates", "--matrix", "[[1,1],[1,2]]"])[0] == 1
+    monkeypatch.setattr(cli, "MAX_PRINTED", 26)
+    assert capture(["sqrt-morphism", "DGG"]) == (0, f"{sqrt_fixing_morphism(parse_genword('DGG'))}\n")
+    assert capture(["sqrt-morphism", "G'D"])[0] == 1
 
 
 def test_sqrt_and_blocks():

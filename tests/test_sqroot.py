@@ -1,8 +1,13 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import chain, cycle, islice, product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -441,10 +446,51 @@ def test_sqrt_morphism_of_every_primitive_word(word):
     assert 1 <= result.power <= 4
     assert result.power == k
     assert rep(result.genword).rows == rows
+    assert result.morphism == result.morphism == compose(result.genword)
     roots = square_root_stream(fixed_point_stream(word))
     want = roots.prefix(1500)
     assert result.morphism.apply(roots).prefix(1500) == want
     assert PrefixStream(iter_square_roots(fixed_point_stream(word))).prefix(1500) == want
+
+
+_NO_IMAGES_CHILD = """
+import random, time, tracemalloc
+from sturmrep.morphisms import D, DT, G, GT, parse_genword
+from sturmrep.representation import rep
+from sturmrep.sqroot import SqrtMorphism, sqrt_fixing_morphism
+
+rng = random.Random(23)
+drawn = tuple(rng.choice((G, GT, D, DT)) for _ in range(4096))
+assert {G, GT} & set(drawn) and {D, DT} & set(drawn)
+for word in (parse_genword("GD'" * 2048), drawn):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    root = sqrt_fixing_morphism(word)
+    elapsed = time.perf_counter() - t0
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 2**20, (elapsed, peak)
+    assert sum(k for _, k in root.genword.runs) == root.power * len(word)
+    assert rep(root.genword).block() == (rep(word) ** root.power).block()
+assert "morphism" not in SqrtMorphism.__slots__
+print("ok")
+"""
+
+
+def test_sqrt_fixing_morphism_builds_no_images():
+    # psi's images have A+B+C+D letters: about 4e8 for a random word of 16
+    # generators, and for (GD')^2048 (k = 3) a number of 8532 bits, so a
+    # result that composed them would end in a MemoryError under the child's
+    # 1 GiB of address space; the generator word of psi has power * n
+    # generators, and its block is that of the power
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _NO_IMAGES_CHILD], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 @settings(max_examples=60, deadline=None)
