@@ -43,7 +43,6 @@ from .morphisms import (
     conjugates_of,
     format_genword,
     parse_genword,
-    right_conjugate_step,
     rightmost_conjugate,
 )
 from .representation import (
@@ -63,7 +62,6 @@ from .dynamics import (
     fixed_point_params,
     fixed_point_stream,
     image_params,
-    intercept_class,
     iterate_fixed_point,
     yasutomi_check,
     yasutomi_condition,

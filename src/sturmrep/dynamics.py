@@ -120,29 +120,6 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
     raise DomainError(f"no expanding fixed point starts with {first_letter!r} for {phi}")
 
 
-RHO_EQ_L0_PLUS_L1 = "rho_eq_l0_plus_l1"
-RHO_EQ_L1 = "rho_eq_l1"
-RHO_EQ_L0 = "rho_eq_l0"
-RHO_EQ_0 = "rho_eq_0"
-UNCONSTRAINED = "unconstrained"
-
-_CLASS_TABLE = (
-    (RHO_EQ_L0_PLUS_L1, frozenset({GT, D})),
-    (RHO_EQ_L1, frozenset({G, D})),
-    (RHO_EQ_L0, frozenset({GT, DT})),
-    (RHO_EQ_0, frozenset({G, DT})),
-)
-
-
-def intercept_class(word: GenWord) -> tuple[str, ...]:
-    """Intercept constraints forced by the two-generator alphabet the word
-    stays inside; all applicable constraints are reported (the alphabets
-    overlap), and ("unconstrained",) when none applies."""
-    alphabet = set(word)
-    found = tuple(tag for tag, gens in _CLASS_TABLE if alphabet <= gens)
-    return found if found else (UNCONSTRAINED,)
-
-
 def dekking_mirror(word: GenWord) -> GenWord:
     """Tokenwise companion over {G', D} of a word over {G, D'}; it fixes the
     upper sequence with zero intercept paired with the word's lower one."""
@@ -150,7 +127,7 @@ def dekking_mirror(word: GenWord) -> GenWord:
     bad = set(word) - set(table)
     if bad:
         raise DomainError(
-            f"word must stay in {{G, D'}}, found {', '.join(g.token for g in sorted(bad, key=lambda x: x.name))}"
+            f"word must stay in {{G, D'}}, found {', '.join(g.value for g in sorted(bad, key=lambda x: x.name))}"
         )
     return tuple(table[g] for g in word)
 

@@ -381,8 +381,3 @@ class QuadExt(_Value):
         if rat is not None:
             return cls(int(rat), 0, c)
         return cls.from_radicand(int(a), int(b) if sign == "+" else -int(b), c, int(n))
-
-
-ZERO = QuadExt(0)
-ONE = QuadExt(1)
-HALF = QuadExt(1, 0, 2)

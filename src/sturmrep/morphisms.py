@@ -25,10 +25,6 @@ class Generator(enum.Enum):
     D = "D"
     DT = "D'"
 
-    @property
-    def token(self) -> str:
-        return self.value
-
     def __repr__(self) -> str:
         return f"Generator.{self.name}"
 
@@ -62,7 +58,7 @@ class RunWord(_Value):
             if k < 1:
                 raise ValueError(f"run exponents are at least 1, not {k}")
             if g is last:
-                raise ValueError(f"neighbouring runs of {g.token}: the runs must be maximal")
+                raise ValueError(f"neighbouring runs of {g.value}: the runs must be maximal")
             last = g
         self._setters[0](self, runs)
 
@@ -112,10 +108,9 @@ def parse_genword(text: str) -> GenWord:
 
 
 def format_genword(word: GenWord) -> str:
-    # a RunWord joins one repeated token per run, not one per generator
-    if isinstance(word, RunWord):
-        return "".join(g.token * k for g, k in word.runs)
-    return "".join(g.token for g in word)
+    # one repeated token per run; a token word is runs of one
+    runs = word.runs if isinstance(word, RunWord) else zip(word, repeat(1))
+    return "".join(g.value * k for g, k in runs)
 
 
 def power(x, k: int, one):
@@ -371,28 +366,16 @@ def compose(word: GenWord) -> BinaryMorphism:
     return BinaryMorphism._of(x, y)
 
 
-def right_conjugate_step(phi: BinaryMorphism) -> BinaryMorphism | None:
-    """One conjugation step to the right: when both images end with the
-    same letter, rotate it to the front; None when the morphism is already
-    rightmost (distinct final letters)."""
-    if phi.is_cyclic():
-        raise CyclicMorphismError(f"cyclic morphism {phi}")
-    i0, i1 = phi.image0, phi.image1
-    if i0[-1] != i1[-1]:
-        return None
-    x = i0[-1]
-    return BinaryMorphism._of(x + i0[:-1], x + i1[:-1])
-
-
 def rightmost_conjugate(phi: BinaryMorphism) -> BinaryMorphism:
-    """Fixed point of right_conjugate_step iteration.
+    """The right conjugate whose two images end with different letters.
 
-    Each step rotates the shared final letter to the front of both images,
-    so iterating is cyclic rotation; the closed form rotates once by the
-    number of steps until the final letters disagree.  For images of n0
-    and n1 letters it is below n0 + n1 - gcd(n0, n1): by Fine and Wilf a
-    word that long with periods n0 and n1 has period gcd(n0, n1), and
-    both images would be powers of one word, so phi would be cyclic.
+    While both images end with one letter, moving it to the front of both
+    gives a right conjugate, so repeating that is cyclic rotation; the
+    closed form rotates once by the number of moves until the final letters
+    disagree.  For images of n0 and n1 letters it is below
+    n0 + n1 - gcd(n0, n1): by Fine and Wilf a word that long with periods
+    n0 and n1 has period gcd(n0, n1), and both images would be powers of
+    one word, so phi would be cyclic.
     """
     if phi.is_cyclic():
         raise CyclicMorphismError(f"cyclic morphism {phi}")

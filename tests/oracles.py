@@ -5,7 +5,10 @@ arithmetic: floors come from raw integer comparisons, sequences from the
 defining formulas, squares from naive string scans, square-free parts from
 sympy's factorization.  The two exceptions, eigen_by_field_ops and
 yasutomi_by_field_ops, hold the package's closed-form eigenvector and its
-integer-part Yasutomi test to QuadExt's field operations.
+integer-part Yasutomi test to QuadExt's field operations.  Two facts that
+the package computes are stated here, and the tests hold the package to
+them: the intercept that a two-generator alphabet forces (dominant_eigen)
+and the one-letter right conjugation step (rightmost_conjugate).
 """
 
 import re
@@ -265,6 +268,44 @@ def compose_by_substitution(tokens) -> tuple[str, str]:
         image0, image1 = GENERATOR_IMAGES[token]
         x, y = substitute(image0, image1, x), substitute(image0, image1, y)
     return x, y
+
+
+# The intercept of the fixed point of a word that stays inside one of four
+# two-generator alphabets, by token; the tokens are in the order the tests
+# draw words from.
+RHO_EQ_L0_PLUS_L1 = "rho_eq_l0_plus_l1"
+RHO_EQ_L1 = "rho_eq_l1"
+RHO_EQ_L0 = "rho_eq_l0"
+RHO_EQ_0 = "rho_eq_0"
+UNCONSTRAINED = "unconstrained"
+
+CLASS_TABLE = (
+    (RHO_EQ_L0_PLUS_L1, ("G'", "D")),
+    (RHO_EQ_L1, ("G", "D")),
+    (RHO_EQ_L0, ("G'", "D'")),
+    (RHO_EQ_0, ("G", "D'")),
+)
+
+
+def intercept_class(tokens) -> tuple[str, ...]:
+    """Intercept constraints forced by the two-generator alphabets that the
+    tokens stay inside; all applicable constraints are reported (the
+    alphabets overlap), and ("unconstrained",) when none applies."""
+    alphabet = set(tokens)
+    found = tuple(tag for tag, gens in CLASS_TABLE if alphabet <= set(gens))
+    return found if found else (UNCONSTRAINED,)
+
+
+def right_conjugate_step(image0: str, image1: str) -> tuple[str, str] | None:
+    """One conjugation step to the right: when both images end with the
+    same letter, move it to the front of both; None when the final letters
+    differ.  Images that commute are refused, as the steps would not end."""
+    if image0 + image1 == image1 + image0:
+        raise ValueError(f"cyclic morphism 0->{image0},1->{image1}")
+    if image0[-1] != image1[-1]:
+        return None
+    x = image0[-1]
+    return x + image0[:-1], x + image1[:-1]
 
 
 _GENWORD_RE = re.compile(r"(?:[GD]'?)*")

@@ -9,17 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import sturmrep
 from sturmrep.dynamics import (
-    RHO_EQ_0,
-    RHO_EQ_L0,
-    RHO_EQ_L0_PLUS_L1,
-    RHO_EQ_L1,
-    UNCONSTRAINED,
     dekking_mirror,
     dominant_eigen,
     fixed_point_params,
     fixed_point_stream,
     image_params,
-    intercept_class,
     iterate_fixed_point,
     params_of,
     yasutomi_check,
@@ -27,7 +21,7 @@ from sturmrep.dynamics import (
 )
 from sturmrep.errors import DomainError, FieldMismatchError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, BinaryMorphism, compose, parse_genword
+from sturmrep.morphisms import D, DT, G, GT, BinaryMorphism, Generator, compose, parse_genword
 from sturmrep.representation import rep
 from sturmrep.words import (
     LOWER,
@@ -39,8 +33,15 @@ from sturmrep.words import (
 )
 
 from oracles import (
+    CLASS_TABLE,
+    RHO_EQ_0,
+    RHO_EQ_L0,
+    RHO_EQ_L0_PLUS_L1,
+    RHO_EQ_L1,
+    UNCONSTRAINED,
     eigen_by_field_ops,
     fixed_point_by_iteration,
+    intercept_class,
     square_free_oracle,
     substitute,
     yasutomi_by_field_ops,
@@ -365,14 +366,14 @@ def test_dominant_eigen_matches_field_ops_oracle_on_random_words(word):
 
 
 def test_intercept_class_examples():
-    assert intercept_class(DG2) == (RHO_EQ_L1,)
-    assert intercept_class(parse_genword("G'D'")) == (RHO_EQ_L0,)
-    assert intercept_class(parse_genword("GD'")) == (RHO_EQ_0,)
-    assert intercept_class(parse_genword("G'D")) == (RHO_EQ_L0_PLUS_L1,)
-    assert intercept_class(parse_genword("GDG'")) == (UNCONSTRAINED,)
+    assert intercept_class(["D", "G", "G"]) == (RHO_EQ_L1,)
+    assert intercept_class(["G'", "D'"]) == (RHO_EQ_L0,)
+    assert intercept_class(["G", "D'"]) == (RHO_EQ_0,)
+    assert intercept_class(["G'", "D"]) == (RHO_EQ_L0_PLUS_L1,)
+    assert intercept_class(["G", "D", "G'"]) == (UNCONSTRAINED,)
     # overlapping one-letter alphabets report every applicable constraint
-    assert intercept_class(parse_genword("GG")) == (RHO_EQ_L1, RHO_EQ_0)
-    assert intercept_class(()) == (
+    assert intercept_class(["G", "G"]) == (RHO_EQ_L1, RHO_EQ_0)
+    assert intercept_class([]) == (
         RHO_EQ_L0_PLUS_L1,
         RHO_EQ_L1,
         RHO_EQ_L0,
@@ -381,17 +382,13 @@ def test_intercept_class_examples():
 
 
 def test_intercept_class_agrees_with_eigenvector():
+    # dominant_eigen puts the fixed point of a word inside a two-generator
+    # alphabet at the intercept that the alphabet forces
     rng = random.Random(31)
-    table = {
-        RHO_EQ_L0_PLUS_L1: (GT, D),
-        RHO_EQ_L1: (G, D),
-        RHO_EQ_L0: (GT, DT),
-        RHO_EQ_0: (G, DT),
-    }
-    for tag, alphabet in table.items():
+    for tag, alphabet in CLASS_TABLE:
         for _ in range(8):
-            word = _random_word(rng, alphabet=alphabet, lo=2, hi=8)
-            assert tag in intercept_class(word)
+            word = _random_word(rng, alphabet=tuple(map(Generator, alphabet)), lo=2, hi=8)
+            assert tag in intercept_class([g.value for g in word])
             v = dominant_eigen(word).vector
             expected = {
                 RHO_EQ_L0_PLUS_L1: v.l0 + v.l1,

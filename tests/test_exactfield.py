@@ -12,11 +12,14 @@ from sympy import integer_nthroot, nextprime, prevprime
 
 from sturmrep.errors import DomainError, FieldMismatchError, ParseError
 from sturmrep import exactfield
-from sturmrep.exactfield import HALF, ONE, ZERO, QuadExt, square_free_split
+from sturmrep.exactfield import QuadExt, square_free_split
 from sturmrep.words import SlopeIntercept
 
 from oracles import square_free_oracle, surd_floor, surd_sign
 
+ZERO = QuadExt(0)
+ONE = QuadExt(1)
+HALF = QuadExt(1, 0, 2)
 SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 15, 17, 19)
 
 values = st.builds(

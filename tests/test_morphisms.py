@@ -27,7 +27,6 @@ from sturmrep.morphisms import (
     format_genword,
     parse_genword,
     power,
-    right_conjugate_step,
     rightmost_conjugate,
 )
 from sturmrep.representation import decompose, rep
@@ -39,6 +38,7 @@ from oracles import (
     conjugates_by_third_rows,
     fixed_point_by_iteration,
     parse_genword_by_regex,
+    right_conjugate_step,
     substitute,
     word_stream,
 )
@@ -131,7 +131,7 @@ def run_words(draw):
 
 @given(st.one_of(run_words(), randomwords))
 def test_format_genword_matches_the_per_token_join(word):
-    assert format_genword(word) == "".join(g.token for g in word)
+    assert format_genword(word) == "".join(g.value for g in word)
 
 
 @st.composite
@@ -386,11 +386,12 @@ def test_primitivity_iff_both_letter_kinds(w):
 
 
 def test_right_conjugate_step():
-    assert right_conjugate_step(compose((GT,))) == compose((G,))
-    assert right_conjugate_step(BinaryMorphism("10", "10101")) is None
-    assert right_conjugate_step(IDENTITY) is None
-    with pytest.raises(CyclicMorphismError):
-        right_conjugate_step(BinaryMorphism("0", "00"))
+    # the oracle that rightmost_conjugate is held to
+    assert right_conjugate_step("0", "10") == ("0", "01")  # G' to G
+    assert right_conjugate_step("10", "10101") is None
+    assert right_conjugate_step("0", "1") is None
+    with pytest.raises(ValueError):
+        right_conjugate_step("0", "00")
 
 
 def test_rightmost_conjugate():
@@ -404,15 +405,13 @@ def test_rightmost_conjugate():
 @given(genwords)
 def test_rightmost_matches_step_iteration(w):
     phi = compose(w)
-    cur = phi
-    while True:
-        nxt = right_conjugate_step(cur)
-        if nxt is None:
-            break
+    cur = (phi.image0, phi.image1)
+    while (nxt := right_conjugate_step(*cur)) is not None:
         cur = nxt
-    assert rightmost_conjugate(phi) == cur
-    assert rightmost_conjugate(cur) == cur  # idempotent
-    assert cur.image0[-1] != cur.image1[-1]
+    rightmost = rightmost_conjugate(phi)
+    assert (rightmost.image0, rightmost.image1) == cur
+    assert rightmost_conjugate(rightmost) == rightmost  # idempotent
+    assert cur[0][-1] != cur[1][-1]
 
 
 def test_rightmost_conjugate_of_every_short_morphism_within_fine_wilf():
@@ -426,11 +425,11 @@ def test_rightmost_conjugate_of_every_short_morphism_within_fine_wilf():
     for phi in morphisms:
         n0, n1 = len(phi.image0), len(phi.image1)
         bound = n0 + n1 - gcd(n0, n1) - 1
-        cur, steps = phi, 0
-        while (nxt := right_conjugate_step(cur)) is not None:
+        cur, steps = (phi.image0, phi.image1), 0
+        while (nxt := right_conjugate_step(*cur)) is not None:
             cur, steps = nxt, steps + 1
         assert steps <= bound
-        assert rightmost_conjugate(phi) == cur
+        assert rightmost_conjugate(phi) == BinaryMorphism(*cur)
         at_bound += steps == bound
     assert at_bound == 210
 
@@ -452,17 +451,17 @@ def test_derived_morphisms_equal_their_publicly_built_twins(w, u, v):
     # compose, products and conjugates build their images from binary words
     # and skip the check of BinaryMorphism(...): each must equal its twin
     # from the checking constructor
-    twin = BinaryMorphism(*compose_by_substitution([g.token for g in w]))
+    twin = BinaryMorphism(*compose_by_substitution([g.value for g in w]))
     _same_morphism(compose(w), twin)
     _same_morphism(compose(decompose(rep(w))), twin)  # a RunWord, one copy per run
     phi, psi = compose(u), compose(v)
-    _same_morphism(phi * psi, BinaryMorphism(*compose_by_substitution([g.token for g in u + v])))
-    _same_morphism(phi**3, BinaryMorphism(*compose_by_substitution([g.token for g in u * 3])))
+    _same_morphism(phi * psi, BinaryMorphism(*compose_by_substitution([g.value for g in u + v])))
+    _same_morphism(phi**3, BinaryMorphism(*compose_by_substitution([g.value for g in u * 3])))
     for chi in conjugates_of(phi.incidence()):
         _same_morphism(chi, BinaryMorphism(chi.image0, chi.image1))
     if not phi.is_cyclic():
-        for chi in (right_conjugate_step(phi) or phi, rightmost_conjugate(phi)):
-            _same_morphism(chi, BinaryMorphism(chi.image0, chi.image1))
+        chi = rightmost_conjugate(phi)
+        _same_morphism(chi, BinaryMorphism(chi.image0, chi.image1))
 
 
 def test_conjugates_counts():
@@ -528,7 +527,7 @@ def test_conjugates_rejects_bad_matrices():
 def test_conjugation_witness_words():
     # the step output psi is a right conjugate of phi: w*phi(a) = psi(a)*w
     phi = BinaryMorphism("01", "01101")
-    psi = right_conjugate_step(phi)
+    psi = BinaryMorphism(*right_conjugate_step(phi.image0, phi.image1))
     w = phi.image0[-1]
     for a in ("0", "1"):
         assert w + phi.apply(a) == psi.apply(a) + w
@@ -598,7 +597,7 @@ def test_fixed_point_iteration_oracle_agreement():
 @given(budgetwords)
 def test_compose_matches_substitution_oracle(w):
     phi = compose(w)
-    assert (phi.image0, phi.image1) == compose_by_substitution([g.token for g in w])
+    assert (phi.image0, phi.image1) == compose_by_substitution([g.value for g in w])
 
 
 def test_compose_random_associativity():

@@ -43,7 +43,7 @@ longwords = st.one_of(randomwords, runwords)
 
 
 def tokens(word):
-    return [g.token for g in word]
+    return [g.value for g in word]
 
 
 def assert_maximal_runs(word):
@@ -374,7 +374,7 @@ def test_decompose_round_trip(w):
 def test_decompose_matches_peeling_oracle(w):
     matrix = rep(w)
     word = decompose(matrix)
-    assert [g.token for g in word] == decompose_by_peeling(matrix.rows)
+    assert [g.value for g in word] == decompose_by_peeling(matrix.rows)
     assert rep(word) == matrix
 
 
@@ -387,7 +387,7 @@ def test_decompose_matches_peeling_oracle_on_long_words(w):
     word = decompose(matrix)
     assert type(word) is RunWord
     assert_maximal_runs(word)
-    assert [g.token for g in word] == decompose_by_peeling(matrix.rows)
+    assert [g.value for g in word] == decompose_by_peeling(matrix.rows)
 
 
 @settings(deadline=None)
@@ -397,7 +397,7 @@ def test_decompose_returns_maximal_runs(w):
     word = decompose(matrix)
     assert_maximal_runs(word)
     peeled = decompose_by_peeling(matrix.rows)
-    assert [g.token for g in word] == peeled
+    assert [g.value for g in word] == peeled
     assert len(word) == len(peeled)
     assert rep(word) == matrix
     again = decompose(Mat3(matrix.rows))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from sturmrep import verify
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
 from sturmrep.errors import DomainError, NotPrimitiveError, ScanBoundError
-from sturmrep.exactfield import HALF, QuadExt
+from sturmrep.exactfield import QuadExt
 from sturmrep.morphisms import (
     D,
     DT,
@@ -60,6 +60,7 @@ from test_words import FIELDS, fixed_point_vectors, iet_vectors
 
 DG2 = parse_genword("DGG")
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
+HALF = QuadExt(1, 0, 2)
 
 # Greedy roots of the DG^2 fixed point, frozen from the brute-force string
 # scan in oracles.naive_square_roots and confirmed below against the
@@ -426,7 +427,7 @@ def _conjugated_power(word):
     """(k, rows) for the least k whose power of the word's matrix has an
     integral third row after conjugation by the root map, from the oracle's
     matrix products; rows is that conjugated power."""
-    matrix = rep_by_products([g.token for g in word])
+    matrix = rep_by_products([g.value for g in word])
     power = matrix
     for k in range(1, 25):
         (a, b, _), (c, d, _), (e, f, _) = power

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sturmrep.dynamics import fixed_point_params, fixed_point_stream
 from sturmrep.errors import DomainError, FieldMismatchError
-from sturmrep.exactfield import HALF, QuadExt
+from sturmrep.exactfield import QuadExt
 from sturmrep import words
 from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
 from sturmrep.representation import rep
@@ -42,6 +42,7 @@ from oracles import (
 )
 
 SQRT3_OVER_3 = QuadExt(0, 1, 3, 3)
+HALF = QuadExt(1, 0, 2)
 FIB_ALPHA = QuadExt(3, -1, 2, 5)  # (3-sqrt(5))/2
 
 
