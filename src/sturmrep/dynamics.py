@@ -133,7 +133,9 @@ def dekking_mirror(word: GenWord) -> GenWord:
 
 
 class YasutomiReport(_Value):
-    __slots__ = _fields = ("ok", "same_field", "conjugate_in_bounds", "alpha", "delta")
+    __slots__ = _fields = (
+        "ok", "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
+    )
 
     def __bool__(self) -> bool:
         return self.ok
@@ -144,6 +146,7 @@ class YasutomiReport(_Value):
             f"delta={self.delta}",
             f"same_field={'yes' if self.same_field else 'no'}",
             f"conjugate_in_bounds={'yes' if self.conjugate_in_bounds else 'no'}",
+            f"slope_conjugate_outside={'yes' if self.slope_conjugate_outside else 'no'}",
             f"ok={'yes' if self.ok else 'no'}",
         ]
         return "\n".join(lines)
@@ -151,27 +154,32 @@ class YasutomiReport(_Value):
 
 def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
     """Necessary condition for a lower sequence to be fixed by a primitive
-    morphism: slope and intercept share one quadratic field, and the Galois
-    conjugate of the intercept lies between those of the slope and co-slope.
+    morphism: slope and intercept share one quadratic field, the Galois
+    conjugate of the intercept lies between those of the slope and
+    co-slope, and the conjugate of the slope lies outside (0, 1).
 
     With alpha = (a + b sqrt(m))/c and delta = (x + y sqrt(m))/z, the
     conjugate delta' lies between alpha' and 1 - alpha', in either order,
     exactly when (delta' - alpha') and (delta' - (1 - alpha')) do not have
     one strict sign.  Over the positive denominator cz these are
-    (xc - az) + (bz - yc) sqrt(m) and (xc - (c - a)z) - (bz + yc) sqrt(m):
-    two surd_sign calls on integer parts, and no QuadExt is built.
+    (xc - az) + (bz - yc) sqrt(m) and (xc - (c - a)z) - (bz + yc) sqrt(m),
+    and alpha' lies in (0, 1) exactly when a - b sqrt(m) > 0 and
+    (a - c) - b sqrt(m) < 0: four surd_sign calls on integer parts, and no
+    QuadExt is built.  A rational alpha is its own conjugate.
     """
     same = alpha.m is None or delta.m is None or alpha.m == delta.m
+    a, b, c = alpha.a, alpha.b, alpha.c
+    outside = surd_sign(a, -b, alpha.m) <= 0 or surd_sign(a - c, -b, alpha.m) >= 0
     in_bounds = False
     if same:
-        a, b, c, m = alpha.a, alpha.b, alpha.c, alpha.m or delta.m
+        m = alpha.m or delta.m
         x, y, z = delta.a, delta.b, delta.c
         in_bounds = (
             surd_sign(x * c - a * z, b * z - y * c, m)
             * surd_sign(x * c - (c - a) * z, -(b * z + y * c), m)
             <= 0
         )
-    return YasutomiReport(same and in_bounds, same, in_bounds, alpha, delta)
+    return YasutomiReport(same and in_bounds and outside, same, in_bounds, outside, alpha, delta)
 
 
 def yasutomi_check(eigen: EigenData) -> YasutomiReport:

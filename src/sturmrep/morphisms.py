@@ -163,14 +163,8 @@ class Mat2(_Value):
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> int:
-        return self.a + self.d
-
     def entries(self) -> tuple[int, int, int, int]:
         return self.a, self.b, self.c, self.d
-
-    def is_primitive(self) -> bool:
-        return is_primitive_block(self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -329,38 +323,25 @@ EXCHANGE = BinaryMorphism("1", "0")
 def compose(word: GenWord) -> BinaryMorphism:
     """Morphism named by the generator word; the empty word is the identity.
 
-    With images (x, y) so far, composing on the right with a generator
-    concatenates them: G gives y = x+y, G' gives y = y+x, D gives x = y+x
-    and D' gives x = x+y.  One concatenation per generator, one
-    BinaryMorphism at the end.  A RunWord takes one repetition per run,
-    as the generators of a run all add the image that they leave as it
-    is: G^k gives y = x*k + y, G'^k gives y = y + x*k, D^k gives
-    x = y*k + x and D'^k gives x = x + y*k, so a run costs one copy of
-    its result, not one per generator.
+    The word is read as runs, as format_genword reads it: a RunWord's own,
+    and runs of one for any other iterable of generators.  With images
+    (x, y) so far, composing on the right with a run concatenates them, as
+    the generators of a run all add the image that they leave as it is:
+    G^k gives y = x*k + y, G'^k gives y = y + x*k, D^k gives x = y*k + x
+    and D'^k gives x = x + y*k.  A run costs one copy of its result, not
+    one per generator, and one BinaryMorphism is built at the end.
     """
     x, y = "0", "1"
-    if isinstance(word, RunWord):
-        for g, k in word.runs:
-            if g is G:
-                y = x * k + y
-            elif g is GT:
-                y = y + x * k
-            elif g is D:
-                x = y * k + x
-            elif g is DT:
-                x = x + y * k
-            else:
-                raise KeyError(g)
-        return BinaryMorphism._of(x, y)
-    for g in word:
+    runs = word.runs if isinstance(word, RunWord) else zip(word, repeat(1))
+    for g, k in runs:
         if g is G:
-            y = x + y
+            y = x * k + y
         elif g is GT:
-            y = y + x
+            y = y + x * k
         elif g is D:
-            x = y + x
+            x = y * k + x
         elif g is DT:
-            x = x + y
+            x = x + y * k
         else:
             raise KeyError(g)
     return BinaryMorphism._of(x, y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .errors import DomainError, MembershipError
 from .exactfield import _Value
-from .morphisms import D, DT, G, GT, GenWord, Generator, Mat2, RunWord, parse_int_rows, power
+from .morphisms import D, DT, G, GT, GenWord, Generator, RunWord, parse_int_rows, power
 
 Rows = tuple[tuple[int, int, int], ...]
 
@@ -77,10 +77,6 @@ class Mat3(_Value):
     def det(self) -> int:
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    def block(self) -> Mat2:
-        """Top-left 2x2 block (the incidence matrix for monoid members)."""
-        return Mat2(self.rows[0][0], self.rows[0][1], self.rows[1][0], self.rows[1][1])
 
     def named(self) -> tuple[int, int, int, int, int, int]:
         """(A, B, C, D, E, F) of the monoid shape."""

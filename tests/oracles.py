@@ -167,20 +167,22 @@ def eigen_by_field_ops(rows) -> tuple:
     return lam, x, y, z, "upper" if z == 1 else "lower", m
 
 
-def yasutomi_by_field_ops(alpha, delta) -> tuple[bool, bool]:
-    """(same_field, conjugate_in_bounds) of Yasutomi's condition on two
-    QuadExt values by field operations: the conjugates of alpha, 1 - alpha
-    and delta, ordered and compared."""
+def yasutomi_by_field_ops(alpha, delta) -> tuple[bool, bool, bool]:
+    """(same_field, conjugate_in_bounds, slope_conjugate_outside) of
+    Yasutomi's condition on two QuadExt values by field operations: the
+    conjugates of alpha, 1 - alpha and delta, ordered and compared, and
+    that of alpha compared with 0 and 1."""
     same = alpha.m is None or delta.m is None or alpha.m == delta.m
+    abar = alpha.conjugate()
+    outside = not 0 < abar < 1
     in_bounds = False
     if same:
-        abar = alpha.conjugate()
         dbar = delta.conjugate()
         lo, hi = abar, 1 - abar
         if lo > hi:
             lo, hi = hi, lo
         in_bounds = lo <= dbar <= hi
-    return same, in_bounds
+    return same, in_bounds, outside
 
 
 def substitute(image0: str, image1: str, w: str) -> str:

@@ -130,7 +130,8 @@ def test_eigen_equation_and_unit_property():
         image = rep(word).apply((v.l0, v.l1, v.rho))
         assert image == (lam * v.l0, lam * v.l1, lam * v.rho)
         # spectrum: the block trace p gives the other eigenvalues 1, conj
-        p = rep(word).block().trace()
+        a, _, _, d, _, _ = rep(word).named()
+        p = a + d
         assert lam * lam - p * lam + 1 == 0
 
 
@@ -441,6 +442,7 @@ def test_yasutomi_for_fixed_points():
         word = _random_word(rng)
         report = yasutomi_check(dominant_eigen(word))
         assert report.ok and report.same_field and report.conjugate_in_bounds
+        assert report.slope_conjugate_outside
 
 
 def test_yasutomi_rejections():
@@ -454,6 +456,18 @@ def test_yasutomi_rejections():
     assert not report.ok and report.same_field and not report.conjugate_in_bounds
     assert "same_field=yes" in str(report)
     assert "ok=no" in str(report)
+    # the conjugate of the slope in (0, 1): the characteristic word of
+    # (2+sqrt(2))/5, alpha' about 0.117, and alpha' = (4-sqrt(2))/20 about
+    # 0.129.  No non-trivial morphism fixes either, though both pass the
+    # field and intercept clauses
+    for alpha, delta in (
+        ("(2+1*sqrt(2))/5", "(2+1*sqrt(2))/5"),
+        ("(4+1*sqrt(2))/20", "(9-3*sqrt(2))/17"),
+    ):
+        report = yasutomi_condition(QuadExt.parse(alpha), QuadExt.parse(delta))
+        assert report.same_field and report.conjugate_in_bounds
+        assert not report.slope_conjugate_outside and not report.ok
+        assert "slope_conjugate_outside=no" in str(report)
 
 
 yasutomi_fields = (2, 3, 5, 7, 13)
@@ -481,8 +495,12 @@ def test_yasutomi_condition_matches_field_ops(alpha, delta, tie):
     elif tie == "coslope":
         delta = 1 - alpha
     report = yasutomi_condition(alpha, delta)
-    assert (report.same_field, report.conjugate_in_bounds) == yasutomi_by_field_ops(alpha, delta)
-    assert report.ok == (report.same_field and report.conjugate_in_bounds)
+    assert (
+        report.same_field, report.conjugate_in_bounds, report.slope_conjugate_outside
+    ) == yasutomi_by_field_ops(alpha, delta)
+    assert report.ok == (
+        report.same_field and report.conjugate_in_bounds and report.slope_conjugate_outside
+    )
     assert report.alpha is alpha and report.delta is delta
 
 
@@ -494,7 +512,8 @@ def test_eigen_data_for_large_traces():
     if not any(g in (D, DT) for g in word):
         word += (D,)
     eigen = dominant_eigen(word)
-    assert rep(word).block().trace() > 2**20
+    a, _, _, d, _, _ = rep(word).named()
+    assert a + d > 2**20
     assert eigen.eigenvalue * eigen.eigenvalue.conjugate() == 1
     v = eigen.vector
     image = rep(word).apply((v.l0, v.l1, v.rho))
@@ -506,7 +525,8 @@ def test_eigen_field_and_value_against_sympy():
     rng = random.Random(23)
     for _ in range(10):
         word = _random_word(rng, lo=60, hi=80)
-        p = rep(word).block().trace()
+        a, _, _, d, _, _ = rep(word).named()
+        p = a + d
         assert 35 <= p.bit_length() <= 50
         eigen = dominant_eigen(word)
         f, m = square_free_oracle(p * p - 4)

@@ -18,7 +18,7 @@ import sturmrep
 from sturmrep.dynamics import dominant_eigen, image_params
 from sturmrep.errors import DomainError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, format_genword
+from sturmrep.morphisms import D, DT, G, GT, Mat2, format_genword, is_primitive_block
 from sturmrep.representation import rep
 from sturmrep.sqroot import sqrt_fixing_morphism, square_root_stream
 from sturmrep.words import LOWER, UPPER, ParamVector, SlopeIntercept, iet_stream
@@ -116,10 +116,10 @@ def test_not_primitive_exactly_when_the_block_is_not_primitive():
     primitive = 0
     for n in range(7):
         for word in itertools.product(GENERATORS, repeat=n):
-            block = rep(word).block()
+            block = Mat2(*rep(word).named()[:4])
             square = block * block
             expected = min(block.entries()) >= 0 and min(square.entries()) > 0
-            assert block.is_primitive() == expected
+            assert is_primitive_block(*block.entries()) == expected
             text = f"{format_genword(word) or 'identity'} is not primitive"
             for call in (dominant_eigen, sqrt_fixing_morphism):
                 if expected:

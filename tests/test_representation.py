@@ -553,7 +553,7 @@ def test_non_integer_matrices_are_refused_before_any_check_reads_them():
     with pytest.raises(TypeError):
         Mat3(((Fraction(3, 2), Fraction(1, 2), 0), (1, 1, 0), (0, 0, 1)))
     with pytest.raises(TypeError):
-        Mat2(1.5, 0.5, 1, 1).is_primitive()
+        Mat2(1.5, 0.5, 1, 1)
     # an int subclass other than bool is no int either
     with pytest.raises(TypeError):
         Mat3(((1, 0, 0), (0, 1, 0), (0, 0, type("Int", (int,), {})(1))))

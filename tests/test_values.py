@@ -55,9 +55,9 @@ CASES = [
     (EigenData, (QuadExt(2, 1, 1, 3), ParamVector(*DGG_VECTOR)),
      "EigenData(eigenvalue=QuadExt(2, 1, 1, 3), vector=ParamVector(l0=QuadExt(3, -1, 3, 3), "
      "l1=QuadExt(0, 1, 3, 3), rho=QuadExt(0, 1, 3, 3), boundary='lower'))"),
-    (YasutomiReport, (True, True, True, R3, R3),
+    (YasutomiReport, (True, True, True, True, R3, R3),
      "YasutomiReport(ok=True, same_field=True, conjugate_in_bounds=True, "
-     "alpha=QuadExt(0, 1, 3, 3), delta=QuadExt(0, 1, 3, 3))"),
+     "slope_conjugate_outside=True, alpha=QuadExt(0, 1, 3, 3), delta=QuadExt(0, 1, 3, 3))"),
     (SquareDecomposition, (("10", "1"),), "SquareDecomposition(roots=('10', '1'))"),
     (SqrtMorphism, (2, (D, G, G, DT, G, GT)),
      "SqrtMorphism(power=2, genword=(Generator.D, Generator.G, Generator.G, Generator.DT, "
@@ -75,7 +75,9 @@ FIELDS = {
     Mat3: ("rows",),
     Membership: ("ok", "certificate"),
     EigenData: ("eigenvalue", "vector"),
-    YasutomiReport: ("ok", "same_field", "conjugate_in_bounds", "alpha", "delta"),
+    YasutomiReport: (
+        "ok", "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
+    ),
     SquareDecomposition: ("roots",),
     SqrtMorphism: ("power", "genword"),
     RunWord: ("runs",),
@@ -174,7 +176,7 @@ BRANCHES = {
     "QuadExt-neg": (lambda: -QuadExt(1, 2, 3, 5), QuadExt(-1, -2, 3, 5)),
     "QuadExt-bool-zero": (lambda: bool(QuadExt(0, 0, 7)), False),
     "QuadExt-bool-surd": (lambda: bool(R2 - 1), True),
-    "YasutomiReport-bool": (lambda: bool(YasutomiReport(False, True, False, R3, R3)), False),
+    "YasutomiReport-bool": (lambda: bool(YasutomiReport(False, True, False, True, R3, R3)), False),
     "Mat2-str": (lambda: str(Mat2(1, 2, 3, 4)), "[[1,2],[3,4]]"),
     "SlopeIntercept-kind": (lambda: SlopeIntercept(R2 - 1, 0, kind="x"), ValueError),
     "ParamVector-boundary": (lambda: ParamVector(1, R2, 0, boundary="x"), ValueError),

@@ -14,7 +14,7 @@ from sturmrep.dynamics import fixed_point_params, fixed_point_stream
 from sturmrep.errors import DomainError, FieldMismatchError
 from sturmrep.exactfield import QuadExt
 from sturmrep import words
-from sturmrep.morphisms import BinaryMorphism, Generator, compose, parse_genword
+from sturmrep.morphisms import BinaryMorphism, Generator, compose, is_primitive_block, parse_genword
 from sturmrep.representation import rep
 from sturmrep.sqroot import iter_square_roots, square_root_stream
 from sturmrep.words import (
@@ -372,7 +372,7 @@ def iet_vectors(draw):
 @st.composite
 def fixed_point_vectors(draw):
     word = tuple(draw(st.lists(st.sampled_from(tuple(Generator)), min_size=2, max_size=8)))
-    assume(rep(word).block().is_primitive())
+    assume(is_primitive_block(*rep(word).named()[:4]))
     return fixed_point_params(word)
 
 
