@@ -141,18 +141,24 @@ def test_format_genword_matches_the_per_token_join(word):
 
 
 @st.composite
-def composable_run_words(draw):
-    """RunWords whose images stay under 4000 letters: a run of k multiplies
-    the total length by at most k + 1, so each exponent is drawn within
-    what the runs before it leave of that budget."""
+def composable_run_words(draw, budget=10**5):
+    """RunWords whose images stay under `budget` letters: a run of k
+    multiplies the total length by at most k + 1, so each exponent is drawn
+    within what the runs before it leave of that budget."""
     gens = draw(st.lists(st.sampled_from(ALL), max_size=8))
     gens = [g for i, g in enumerate(gens) if i == 0 or g != gens[i - 1]]
     pairs, size = [], 2
     for g in gens:
-        k = draw(st.integers(1, max(1, min(300, 4000 // size - 1))))
+        k = draw(st.integers(1, max(1, min(300, budget // size - 1))))
         pairs.append((g, k))
         size *= k + 1
     return RunWord(tuple(pairs))
+
+
+@given(composable_run_words())
+def test_compose_of_runs_matches_the_per_token_loop(word):
+    # a run of k against k runs of one
+    assert compose(word) == compose(tuple(word))
 
 
 def test_compose_of_a_long_run_is_one_repetition():
@@ -595,7 +601,7 @@ def test_fixed_point_iteration_oracle_agreement():
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.one_of(budgetwords, composable_run_words()))
+@given(st.one_of(budgetwords, composable_run_words(budget=4000)))
 def test_compose_matches_substitution_oracle(w):
     # token tuples and RunWords, whose runs compose by one repetition each
     phi = compose(w)
