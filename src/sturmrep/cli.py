@@ -189,6 +189,9 @@ def _cmd(args, out) -> int:
 
 def run(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
+    # exact integers of any length: lift CPython's int/str cap (from 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,6 +18,8 @@ from .morphisms import (
     G,
     GT,
     GenWord,
+    RunWord,
+    _runs,
     format_genword,
     is_primitive_block,
 )
@@ -122,34 +124,36 @@ def iterate_fixed_point(phi: BinaryMorphism, first_letter: str, n: int) -> str:
 
 def dekking_mirror(word: GenWord) -> GenWord:
     """Tokenwise companion over {G', D} of a word over {G, D'}; it fixes the
-    upper sequence with zero intercept paired with the word's lower one."""
+    upper sequence with zero intercept paired with the word's lower one.  A
+    RunWord is mapped run by run, as G -> G' and D' -> D keep runs maximal."""
     table = {G: GT, DT: D}
-    bad = set(word) - set(table)
+    runs = tuple(_runs(word))
+    bad = {g for g, _ in runs} - table.keys()
     if bad:
         raise DomainError(
             f"word must stay in {{G, D'}}, found {', '.join(g.value for g in sorted(bad, key=lambda x: x.name))}"
         )
-    return tuple(table[g] for g in word)
+    if isinstance(word, RunWord):
+        return RunWord._of(tuple((table[g], k) for g, k in runs))
+    return tuple(table[g] for g, _ in runs)
 
 
 class YasutomiReport(_Value):
+    """The three clauses of yasutomi_condition; ok, their AND, is read off."""
+
     __slots__ = _fields = (
-        "ok", "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
+        "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
     )
+    ok = property(lambda r: r.same_field and r.conjugate_in_bounds and r.slope_conjugate_outside)
 
     def __bool__(self) -> bool:
         return self.ok
 
     def __str__(self) -> str:
-        lines = [
-            f"alpha={self.alpha}",
-            f"delta={self.delta}",
-            f"same_field={'yes' if self.same_field else 'no'}",
-            f"conjugate_in_bounds={'yes' if self.conjugate_in_bounds else 'no'}",
-            f"slope_conjugate_outside={'yes' if self.slope_conjugate_outside else 'no'}",
-            f"ok={'yes' if self.ok else 'no'}",
-        ]
-        return "\n".join(lines)
+        clauses = ("same_field", "conjugate_in_bounds", "slope_conjugate_outside", "ok")
+        return "\n".join([f"alpha={self.alpha}", f"delta={self.delta}"] + [
+            f"{name}={'yes' if getattr(self, name) else 'no'}" for name in clauses
+        ])
 
 
 def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
@@ -179,7 +183,7 @@ def yasutomi_condition(alpha: QuadExt, delta: QuadExt) -> YasutomiReport:
             * surd_sign(x * c - (c - a) * z, -(b * z + y * c), m)
             <= 0
         )
-    return YasutomiReport(same and in_bounds and outside, same, in_bounds, outside, alpha, delta)
+    return YasutomiReport(same, in_bounds, outside, alpha, delta)
 
 
 def yasutomi_check(eigen: EigenData) -> YasutomiReport:

@@ -107,10 +107,14 @@ def parse_genword(text: str) -> GenWord:
     raise ParseError(f"bad generator token at {s[end:]!r}")
 
 
+def _runs(word: GenWord):
+    # a RunWord's (generator, exponent) runs; runs of one for other words
+    return word.runs if isinstance(word, RunWord) else zip(word, repeat(1))
+
+
 def format_genword(word: GenWord) -> str:
-    # one repeated token per run; a token word is runs of one
-    runs = word.runs if isinstance(word, RunWord) else zip(word, repeat(1))
-    return "".join(g.value * k for g, k in runs)
+    # one repeated token per run
+    return "".join(g.value * k for g, k in _runs(word))
 
 
 def power(x, k: int, one):
@@ -188,6 +192,8 @@ def parse_int_rows(text: str, size: int) -> list[list[int]]:
         rows = json.loads(text.strip())
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad matrix literal: {exc}") from None
+    except RecursionError:
+        raise ParseError("bad matrix literal: nested too deeply") from None
     if (
         not isinstance(rows, list)
         or len(rows) != size
@@ -332,8 +338,7 @@ def compose(word: GenWord) -> BinaryMorphism:
     one per generator, and one BinaryMorphism is built at the end.
     """
     x, y = "0", "1"
-    runs = word.runs if isinstance(word, RunWord) else zip(word, repeat(1))
-    for g, k in runs:
+    for g, k in _runs(word):
         if g is G:
             y = x * k + y
         elif g is GT:

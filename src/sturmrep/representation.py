@@ -80,14 +80,8 @@ class Mat3(_Value):
 
     def named(self) -> tuple[int, int, int, int, int, int]:
         """(A, B, C, D, E, F) of the monoid shape."""
-        return (
-            self.rows[0][0],
-            self.rows[0][1],
-            self.rows[1][0],
-            self.rows[1][1],
-            self.rows[2][0],
-            self.rows[2][1],
-        )
+        (a, b, _), (c, d, _), (e, f, _) = self.rows
+        return a, b, c, d, e, f
 
     def inverse(self) -> Mat3:
         """Exact inverse of any integer matrix with determinant s = 1 or -1:
@@ -107,9 +101,7 @@ class Mat3(_Value):
     def apply(self, vec):
         """Matrix times 3-vector; entries may be int, Fraction or QuadExt."""
         x, y, z = vec
-        return tuple(
-            r[0] * x + r[1] * y + r[2] * z for r in self.rows
-        )
+        return tuple(p * x + q * y + t * z for p, q, t in self.rows)
 
     def __str__(self) -> str:
         return "[" + ",".join(f"[{a},{b},{c}]" for a, b, c in self.rows) + "]"
@@ -216,18 +208,16 @@ def cone_contains(cone: str, vec) -> bool:
 
 
 class Membership(_Value):
-    __slots__ = _fields = ("ok", "certificate")
+    """check_membership's first violated constraint, None for a member."""
 
-    def __init__(self, ok: bool, certificate: str | None = None):
-        put_ok, put_certificate = self._setters
-        put_ok(self, ok)
-        put_certificate(self, certificate)
+    __slots__ = _fields = ("certificate",)
+    ok = property(lambda verdict: verdict.certificate is None)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-_MEMBER = Membership(True)
+_MEMBER = Membership(None)
 
 
 def _certificate(rows: Rows) -> str | None:
@@ -259,10 +249,10 @@ def check_membership(matrix: Mat3) -> Membership:
     Checks, in order: block shape, non-negativity, determinant of the
     block, E < A+C, F < B+D, -C <= CF-DE < D.  The certificate names the
     first violated constraint.  Every matrix is checked in full, whoever
-    built it; members share one verdict, Membership(True).
+    built it; members share one verdict, Membership(None).
     """
     cert = _certificate(matrix.rows)
-    return _MEMBER if cert is None else Membership(False, cert)
+    return _MEMBER if cert is None else Membership(cert)
 
 
 # the runs of a unit Euclid quotient, one of them per step

@@ -34,27 +34,23 @@ DEFAULT_SCAN_BOUND = 10_000
 
 
 class PrefixStream:
-    """Deterministic on-demand {0,1} sequence.
-
-    source is an iterator of str blocks of ASCII letters, one letter or
-    many per step; a non-ASCII letter raises DomainError naming it when its
-    block is read.  Blocks are buffered whole as they are read, so prefix()
-    is idempotent and several consumers may read one stream at independent
-    positions; blocks() hands the letters on in blocks of at most 256.
-    buffer is the bytearray the letters of source go into, shared by every
-    stream over that source, so a read through one extends it for all (the
-    library is single-threaded: nothing locks a shared buffer).  params is
-    the ParamVector a 2iet stream codes, None for other streams; with it,
-    slice(i, j) with i over 512 letters past the buffer seeks to letter i
-    on a source of its own, unshared, and costs j - i letters, and the
-    buffer stays a prefix.
+    """Deterministic on-demand {0,1} sequence over source, an iterator of
+    str blocks of ASCII letters, one letter or many per step; a non-ASCII
+    letter raises DomainError naming it when its block is read.  Blocks are
+    buffered whole as they are read, so prefix() is idempotent and several
+    consumers may read one stream at independent positions; blocks() hands
+    the letters on in blocks of at most 256.  params is None but on the
+    streams of iet_stream, which set it to the vector they code and share
+    its buffer; with it, slice(i, j) with i over 512 letters past the
+    buffer seeks to letter i on a source of its own and costs j - i
+    letters, and the buffer stays a prefix.
     """
 
-    def __init__(self, source: Iterator[str], params: ParamVector | None = None,
-                 buffer: bytearray | None = None):
+    params: ParamVector | None = None
+
+    def __init__(self, source: Iterator[str]):
         self._source = source
-        self.params = params
-        self._buffer = bytearray() if buffer is None else buffer
+        self._buffer = bytearray()
 
     def _fill(self, n: int) -> bool:
         # False when a finite source ends before the buffer holds n letters
@@ -166,14 +162,11 @@ class ParamVector(_Value):
     them, and each read of l0, l1 or rho builds that QuadExt from them.
     Equality, hash, repr, pickling and copies read the four fields.
 
-    The vector also holds the one letter source of its 2iet sequence, which
-    iet_stream fills on first use: every stream it hands out for the vector
-    reads one run of the engine into one shared buffer, so the sequence is
-    coded once however many streams read it, and the letters stay buffered
-    as long as the vector lives.  A seek runs an engine of its own and
-    leaves the buffer as it is.  Like pairs, the source is no field, and a
-    copy starts with no source.  Nothing locks the source: the streams of
-    one vector are read from one thread.
+    _letters holds the one letter source of its 2iet sequence and the
+    buffer its streams share, which iet_stream makes on first use, so the
+    sequence is coded once however many streams read it and its letters
+    stay buffered as long as the vector lives.  Like pairs, it is no field,
+    and a copy starts with none.
     """
 
     _fields = ("l0", "l1", "rho", "boundary")
@@ -305,12 +298,14 @@ def _iet_letters(pairs: tuple, boundary: str, start: int = 0) -> Iterator[str]:
 
 def iet_stream(v: ParamVector) -> PrefixStream:
     """The coding of the orbit of rho under the exchange of two intervals
-    of lengths l0 and l1, as a stream over the vector's one letter source:
-    the streams of one vector share their letters, so none of them runs the
-    engine for letters another has read, and a slice far out seeks on a
-    source of its own.  A source that has ended can only have been stopped
-    by an exception in a read, such as KeyboardInterrupt; the next call
-    starts a new one, and the streams of the old one stay as they were."""
+    of lengths l0 and l1, as a stream over the vector's one letter source.
+    This is the one place that gives a stream its params and a buffer it
+    shares: a read through one stream of the vector extends the buffer for
+    all, so none runs the engine for letters another has read (nothing
+    locks it: the library is single-threaded).  A source that has ended can
+    only have been stopped by an exception in a read, such as
+    KeyboardInterrupt; the next call starts a new one, and the streams of
+    the old one stay as they were."""
     # the slope l1/(l0+l1) is rational when the numerators of l0 and l1 are
     # proportional
     _, (l0a, l0b), (l1a, l1b), _ = v.pairs
@@ -320,7 +315,9 @@ def iet_stream(v: ParamVector) -> PrefixStream:
     if letters is None or letters[0].gi_frame is None:  # none yet, or ended
         letters = (_iet_letters(v.pairs, v.boundary), bytearray())
         _PUT_LETTERS(v, letters)
-    return PrefixStream(letters[0], v, letters[1])
+    stream = PrefixStream(letters[0])
+    stream.params, stream._buffer = v, letters[1]
+    return stream
 
 
 def iet_code(v: ParamVector, n: int) -> str:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -21,8 +22,10 @@ from sturmrep.dynamics import (
 )
 from sturmrep.errors import DomainError, FieldMismatchError, NotPrimitiveError
 from sturmrep.exactfield import QuadExt
-from sturmrep.morphisms import D, DT, G, GT, BinaryMorphism, Generator, compose, parse_genword
-from sturmrep.representation import rep
+from sturmrep.morphisms import (
+    D, DT, G, GT, BinaryMorphism, Generator, RunWord, compose, parse_genword
+)
+from sturmrep.representation import decompose, rep
 from sturmrep.words import (
     LOWER,
     UPPER,
@@ -406,6 +409,22 @@ def test_dekking_mirror_mapping():
     assert dekking_mirror(parse_genword("GGD'")) == parse_genword("G'G'D")
     with pytest.raises(DomainError):
         dekking_mirror(parse_genword("GD"))
+
+
+def test_dekking_mirror_maps_runs():
+    # a RunWord is mapped run by run, so an exponent of 10^18 costs nothing
+    t0 = time.perf_counter()
+    mirror = dekking_mirror(RunWord(((G, 10**18), (DT, 1))))
+    assert time.perf_counter() - t0 < 0.01
+    assert mirror == RunWord(((GT, 10**18), (D, 1)))
+    rng = random.Random(44)
+    for _ in range(20):
+        word = decompose(rep(_random_word(rng, (G, DT), lo=0, hi=12, primitive=False)))
+        mirror = dekking_mirror(word)
+        assert type(mirror) is RunWord and tuple(mirror) == dekking_mirror(tuple(word))
+    for word in (RunWord(((G, 2), (D, 1))), parse_genword("GD")):
+        with pytest.raises(DomainError, match="^word must stay in {G, D'}, found D$"):
+            dekking_mirror(word)
 
 
 def test_dekking_mirror_fixes_upper_sequence():

@@ -1,8 +1,9 @@
 """Value semantics of the package's immutable records: equality within one
 class, hashing, immutability, repr, pickling and deep copies.  The repr
 strings are those the frozen dataclasses of earlier versions printed, but
-for EigenData and SqrtMorphism, which now hold only what defines them and
-read the radicand and the images off it."""
+for EigenData, SqrtMorphism, Membership and YasutomiReport, which now hold
+only what defines them and read the radicand, the images and the verdict
+off it."""
 
 import copy
 import pickle
@@ -50,13 +51,13 @@ CASES = [
     (Mat2, (1, 2, 3, 4), "Mat2(a=1, b=2, c=3, d=4)"),
     (BinaryMorphism, ("01", "1"), "BinaryMorphism(image0='01', image1='1')"),
     (Mat3, (((1, 2, 0), (1, 3, 0), (1, 2, 1)),), "Mat3(rows=((1, 2, 0), (1, 3, 0), (1, 2, 1)))"),
-    (Membership, (True,), "Membership(ok=True, certificate=None)"),
-    (Membership, (False, "E<A+C"), "Membership(ok=False, certificate='E<A+C')"),
+    (Membership, (None,), "Membership(certificate=None)"),
+    (Membership, ("E<A+C",), "Membership(certificate='E<A+C')"),
     (EigenData, (QuadExt(2, 1, 1, 3), ParamVector(*DGG_VECTOR)),
      "EigenData(eigenvalue=QuadExt(2, 1, 1, 3), vector=ParamVector(l0=QuadExt(3, -1, 3, 3), "
      "l1=QuadExt(0, 1, 3, 3), rho=QuadExt(0, 1, 3, 3), boundary='lower'))"),
-    (YasutomiReport, (True, True, True, True, R3, R3),
-     "YasutomiReport(ok=True, same_field=True, conjugate_in_bounds=True, "
+    (YasutomiReport, (True, True, True, R3, R3),
+     "YasutomiReport(same_field=True, conjugate_in_bounds=True, "
      "slope_conjugate_outside=True, alpha=QuadExt(0, 1, 3, 3), delta=QuadExt(0, 1, 3, 3))"),
     (SquareDecomposition, (("10", "1"),), "SquareDecomposition(roots=('10', '1'))"),
     (SqrtMorphism, (2, (D, G, G, DT, G, GT)),
@@ -73,10 +74,10 @@ FIELDS = {
     Mat2: ("a", "b", "c", "d"),
     BinaryMorphism: ("image0", "image1"),
     Mat3: ("rows",),
-    Membership: ("ok", "certificate"),
+    Membership: ("certificate",),
     EigenData: ("eigenvalue", "vector"),
     YasutomiReport: (
-        "ok", "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
+        "same_field", "conjugate_in_bounds", "slope_conjugate_outside", "alpha", "delta"
     ),
     SquareDecomposition: ("roots",),
     SqrtMorphism: ("power", "genword"),
@@ -176,7 +177,9 @@ BRANCHES = {
     "QuadExt-neg": (lambda: -QuadExt(1, 2, 3, 5), QuadExt(-1, -2, 3, 5)),
     "QuadExt-bool-zero": (lambda: bool(QuadExt(0, 0, 7)), False),
     "QuadExt-bool-surd": (lambda: bool(R2 - 1), True),
-    "YasutomiReport-bool": (lambda: bool(YasutomiReport(False, True, False, True, R3, R3)), False),
+    "YasutomiReport-bool": (lambda: bool(YasutomiReport(True, False, True, R3, R3)), False),
+    # ok is read off the certificate, so no verdict can be built beside one
+    "Membership-no-ok": (lambda: Membership(True, "E<A+C"), TypeError),
     "Mat2-str": (lambda: str(Mat2(1, 2, 3, 4)), "[[1,2],[3,4]]"),
     "SlopeIntercept-kind": (lambda: SlopeIntercept(R2 - 1, 0, kind="x"), ValueError),
     "ParamVector-boundary": (lambda: ParamVector(1, R2, 0, boundary="x"), ValueError),
