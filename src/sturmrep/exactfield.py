@@ -202,17 +202,20 @@ class QuadExt(_Value):
     """(a + b*sqrt(m))/c with gcd(a,b,c) = 1, c > 0 and m >= 2 a non-square,
     present exactly when b != 0.
 
-    QuadExt(a, b, c, m), parse and from_radicand check c != 0 and, for
-    b != 0, the radicand; equality, hashing and arithmetic assume the
-    square-free m that from_radicand and parse give.  A value the package
-    derives in a field it has checked or derived, an operator result, a
-    dominant eigenvalue or a field built from a parameter vector's pairs,
-    goes through _in_field, which puts it in canonical form but does not
-    test the radicand again."""
+    QuadExt(a, b, c, m), parse and from_radicand check that a, b and c are
+    each an int (a bool raises TypeError too), c != 0 and, for b != 0, the
+    radicand; equality, hashing and arithmetic assume the square-free m
+    that from_radicand and parse give.  A value the package derives in a
+    field it has checked or derived, an operator result, a dominant
+    eigenvalue or a field built from a parameter vector's pairs, goes
+    through _in_field, which puts it in canonical form but does not test
+    the radicand again."""
 
     __slots__ = _fields = ("a", "b", "c", "m")
 
     def __init__(self, a: int, b: int = 0, c: int = 1, m: int | None = None):
+        if not (type(a) is int and type(b) is int and type(c) is int):
+            raise TypeError("field element parts must be int")
         if c == 0:
             raise ZeroDivisionError("zero denominator")
         # b == 0 exactly when the canonical b is

@@ -217,9 +217,6 @@ class Membership(_Value):
         return self.ok
 
 
-_MEMBER = Membership(None)
-
-
 def _certificate(rows: Rows) -> str | None:
     # the first violated constraint of check_membership, None for a member
     (a, b, x), (c, d, y), (e, f, z) = rows
@@ -249,14 +246,9 @@ def check_membership(matrix: Mat3) -> Membership:
     Checks, in order: block shape, non-negativity, determinant of the
     block, E < A+C, F < B+D, -C <= CF-DE < D.  The certificate names the
     first violated constraint.  Every matrix is checked in full, whoever
-    built it; members share one verdict, Membership(None).
+    built it.
     """
-    cert = _certificate(matrix.rows)
-    return _MEMBER if cert is None else Membership(cert)
-
-
-# the runs of a unit Euclid quotient, one of them per step
-_G1, _GT1, _D1, _DT1 = (G, 1), (GT, 1), (D, 1), (DT, 1)
+    return Membership(_certificate(matrix.rows))
 
 
 def decompose(matrix: Mat3) -> RunWord:
@@ -286,13 +278,10 @@ def decompose(matrix: Mat3) -> RunWord:
     the steps alternate, and each loop turn takes a G-step and then a
     D-step.  A member with B < D enters at the D-step, since its G-step has
     q = 0 and i = 0 and changes nothing; the runs are maximal once empty
-    ones are dropped.  A quotient of 1, D <= B < 2D in a G-step and
-    C < 2A in a D-step, takes one subtraction instead of a division, and
-    i = 1 exactly when F >= D (E >= A in a D-step).  The certificate of a
-    non-member is check_membership's.  The word holds one (generator,
-    exponent) pair per run, so its size follows the entries' bits;
-    iterating it or taking its len raises OverflowError past sys.maxsize
-    generators.
+    ones are dropped.  The certificate of a non-member is
+    check_membership's.  The word holds one (generator, exponent) pair per
+    run, so its size follows the entries' bits; iterating it or taking its
+    len raises OverflowError past sys.maxsize generators.
     """
     rows = matrix.rows
     cert = _certificate(rows)
@@ -302,51 +291,29 @@ def decompose(matrix: Mat3) -> RunWord:
     append = runs.append
     (a, b, _), (c, d, _), (e, f, _) = rows
     while b and c:
-        r = b - d
-        if 0 <= r < d:
-            # q = 1: no division, and i = 1 exactly when F >= D
-            b = r
-            if f >= d:
-                append(_GT1)
-                e, f = e - c, f - d
-            else:
-                append(_G1)
-            a -= c
-        else:
-            q, b = divmod(b, d)
-            i = f // d
-            if i > q:
-                i = q
-            if i:
-                append((GT, i))
-                e, f = e - i * c, f - i * d
-            if q > i:
-                append((G, q - i))
-            a -= q * c
+        q, b = divmod(b, d)
+        i = f // d
+        if i > q:
+            i = q
+        if i:
+            append((GT, i))
+            e, f = e - i * c, f - i * d
+        if q > i:
+            append((G, q - i))
+        a -= q * c
         if not b:
             break
         assert a <= c, "block dichotomy violated"
-        r = c - a
-        if r < a:
-            # q = 1, the mirror: i = 1 exactly when E >= A
-            c = r
-            if e >= a:
-                append(_D1)
-                e, f = e - a, f - b
-            else:
-                append(_DT1)
-            d -= b
-        else:
-            q, c = divmod(c, a)
-            i = e // a
-            if i > q:
-                i = q
-            if i:
-                append((D, i))
-                e, f = e - i * a, f - i * b
-            if q > i:
-                append((DT, q - i))
-            d -= q * b
+        q, c = divmod(c, a)
+        i = e // a
+        if i > q:
+            i = q
+        if i:
+            append((D, i))
+            e, f = e - i * a, f - i * b
+        if q > i:
+            append((DT, q - i))
+        d -= q * b
     if c == 0:
         # det forces A = D = 1 here, and the inequalities pin E = 0
         if b > f:

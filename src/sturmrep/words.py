@@ -39,18 +39,20 @@ class PrefixStream:
     letter raises DomainError naming it when its block is read.  Blocks are
     buffered whole as they are read, so prefix() is idempotent and several
     consumers may read one stream at independent positions; blocks() hands
-    the letters on in blocks of at most 256.  params is None but on the
-    streams of iet_stream, which set it to the vector they code and share
-    its buffer; with it, slice(i, j) with i over 512 letters past the
-    buffer seeks to letter i on a source of its own and costs j - i
+    the letters on in blocks of at most 256.  params, read-only, is None
+    but on the streams of iet_stream, which set it to the vector they code
+    and share its buffer; with it, slice(i, j) with i over 512 letters past
+    the buffer seeks to letter i on a source of its own and costs j - i
     letters, and the buffer stays a prefix.
     """
 
-    params: ParamVector | None = None
+    __slots__ = ("_source", "_buffer", "_params")
+    params = property(lambda stream: stream._params)
 
     def __init__(self, source: Iterator[str]):
         self._source = source
         self._buffer = bytearray()
+        self._params = None
 
     def _fill(self, n: int) -> bool:
         # False when a finite source ends before the buffer holds n letters
@@ -82,7 +84,7 @@ class PrefixStream:
         if not 0 <= i <= j:
             raise ValueError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
         # a seek costs about 500 letters of the engine: nearer starts extend
-        v = self.params
+        v = self._params
         if v is not None and i > len(self._buffer) + 512:
             return PrefixStream(_iet_letters(v.pairs, v.boundary, i)).prefix(j - i)
         self._ensure(j)
@@ -316,7 +318,7 @@ def iet_stream(v: ParamVector) -> PrefixStream:
         letters = (_iet_letters(v.pairs, v.boundary), bytearray())
         _PUT_LETTERS(v, letters)
     stream = PrefixStream(letters[0])
-    stream.params, stream._buffer = v, letters[1]
+    stream._params, stream._buffer = v, letters[1]
     return stream
 
 

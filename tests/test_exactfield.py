@@ -506,3 +506,14 @@ def test_the_public_constructor_refuses_a_missing_radicand_and_a_zero_denominato
     # ahead of the canonical form
     with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
         QuadExt(1, 1, 0, 4)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, Fraction(1, 2)], ids=["bool", "float", "Fraction"])
+@pytest.mark.parametrize("position", ["a", "b", "c"])
+def test_the_public_constructor_refuses_parts_that_are_not_int(bad, position):
+    # as Mat3, Mat2 and RunWord do: a bool would print as True yet equal 1,
+    # and a float or Fraction would fail in the canonical form's gcd
+    parts = dict(a=1, b=1, c=2, m=3)
+    parts[position] = bad
+    with pytest.raises(TypeError, match="^field element parts must be int$"):
+        QuadExt(**parts)

@@ -300,10 +300,11 @@ def test_decompose_rejects_non_members_with_certificate():
 @pytest.mark.parametrize("lead", ["", "D"], ids=["G-step first", "q=0 first"])
 @pytest.mark.parametrize("period", ["GD", "G'D'", "GD'", "G'D"])
 def test_decompose_of_unit_quotients_matches_peeling(period, lead):
-    # every Euclid quotient is 1, so every step before the last run takes
-    # the subtraction without division, primed and unprimed alike; a
-    # leading D makes B < D, so the first G-step has q = 0
-    for k in range(201):
+    # every Euclid quotient is 1, so every step before the last run is a
+    # divmod step with q = 1, primed and unprimed alike; a leading D makes
+    # B < D, so the first G-step has q = 0.  At k = 3000 the entries have
+    # 1254 digits
+    for k in [*range(201), 3000]:
         matrix = rep(parse_genword(lead + period * k))
         word = decompose(matrix)
         assert tokens(word) == decompose_by_peeling(matrix.rows)

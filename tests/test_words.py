@@ -290,6 +290,20 @@ def test_a_finite_stream_read_inside_a_generator_raises_domain_error():
         image.prefix(4)
 
 
+def test_a_stream_keeps_the_vector_it_was_built_with():
+    # params is a read-only view: iet_stream alone gives a stream its vector
+    s = fixed_point_stream(parse_genword("DGG"))
+    v = s.params
+    plain = PrefixStream(iter(["0" * 5000]))
+    for stream, value in ((s, None), (plain, v)):
+        with pytest.raises(AttributeError):
+            stream.params = value
+    assert s.params is v and plain.params is None
+    # so a far slice of a plain stream reads its own letters, not v's
+    with pytest.raises(DomainError, match="the stream has only 5000 letters"):
+        plain.slice(10**6, 10**6 + 5)
+
+
 def test_a_non_ascii_letter_raises_domain_error_naming_it():
     # letters are buffered one byte each, so a prefix has its n letters
     with pytest.raises(DomainError, match="^non-ASCII letter 'é' in a stream$"):
