@@ -53,7 +53,7 @@ def dominant_eigen(word: GenWord) -> EigenData:
     g = math.gcd(m1, m2)
     r = f1 * f2 * g  # sqrt(p^2-4) = r sqrt(m)
     m = (m1 // g) * (m2 // g)
-    lam = QuadExt._in_field(p, r, 2, m)
+    lam = QuadExt(p, r, 2, m)
     # the top block row with x + y = 1 gives x = b/(b + lam - a), y = 1 - x,
     # and z = (f + (e-f)x)/(lam - 1); the conjugates of 2(b + lam - a) =
     # u + r sqrt(m) and 2(lam - 1) = w + r sqrt(m) clear the denominators,

@@ -119,29 +119,13 @@ def operand_parts(x) -> tuple[int, int, int, int | None] | None:
     return None
 
 
-def _put(x: QuadExt, a: int, b: int, c: int, m: int | None) -> None:
-    # the canonical fields of (a + b*sqrt(m))/c, c != 0, set on x
-    if c < 0:
-        a, b, c = -a, -b, -c
-    g = math.gcd(a, b, c)
-    if g > 1:
-        a, b, c = a // g, b // g, c // g
-    put_a, put_b, put_c, put_m = QuadExt._setters
-    put_a(x, a)
-    put_b(x, b)
-    put_c(x, c)
-    put_m(x, m if b else None)
-
-
 def _quotient(a1, b1, c1, m1, a2, b2, c2, m2) -> QuadExt:
     # x/y = x*c2*(a2 - b2*sqrt(m))/(a2^2 - b2^2 m); the norm is 0 only at y = 0
     m = common_field(m1, m2)
     norm = a2 * a2 - b2 * b2 * (m or 0)
     if norm == 0:
         raise ZeroDivisionError("division by zero")
-    return QuadExt._in_field(
-        c2 * (a1 * a2 - b1 * b2 * (m or 0)), c2 * (b1 * a2 - a1 * b2), c1 * norm, m
-    )
+    return QuadExt(c2 * (a1 * a2 - b1 * b2 * (m or 0)), c2 * (b1 * a2 - a1 * b2), c1 * norm, m)
 
 
 _PARSE_RE = re.compile(r"^(?:(-?\d+)|\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\))(?:/(\d+))?$")
@@ -202,14 +186,12 @@ class QuadExt(_Value):
     """(a + b*sqrt(m))/c with gcd(a,b,c) = 1, c > 0 and m >= 2 a non-square,
     present exactly when b != 0.
 
-    QuadExt(a, b, c, m), parse and from_radicand check that a, b and c are
-    each an int (a bool raises TypeError too), c != 0 and, for b != 0, the
-    radicand; equality, hashing and arithmetic assume the square-free m
-    that from_radicand and parse give.  A value the package derives in a
-    field it has checked or derived, an operator result, a dominant
-    eigenvalue or a field built from a parameter vector's pairs, goes
-    through _in_field, which puts it in canonical form but does not test
-    the radicand again."""
+    QuadExt(a, b, c, m) checks that a, b and c are each an int (a bool
+    raises TypeError too), c != 0 and, for b != 0, that m is no square, and
+    puts the value in canonical form.  Every value goes through it, those
+    the package derives included: operator results, conjugates, dominant
+    eigenvalues and a parameter vector's fields.  Equality, hashing and
+    arithmetic assume the square-free m that from_radicand and parse give."""
 
     __slots__ = _fields = ("a", "b", "c", "m")
 
@@ -221,14 +203,16 @@ class QuadExt(_Value):
         # b == 0 exactly when the canonical b is
         if b and (m is None or m < 2 or math.isqrt(m) ** 2 == m):
             raise ValueError("irrational part needs a non-square radicand >= 2")
-        _put(self, a, b, c, m)
-
-    @classmethod
-    def _in_field(cls, a: int, b: int, c: int, m: int | None) -> QuadExt:
-        # c != 0, and m a radicand the package has checked or derived
-        x = object.__new__(cls)
-        _put(x, a, b, c, m)
-        return x
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = math.gcd(a, b, c)
+        if g > 1:
+            a, b, c = a // g, b // g, c // g
+        put_a, put_b, put_c, put_m = self._setters
+        put_a(self, a)
+        put_b(self, b)
+        put_c(self, c)
+        put_m(self, m if b else None)
 
     # -- construction -----------------------------------------------------
 
@@ -253,7 +237,7 @@ class QuadExt(_Value):
     def conjugate(self) -> QuadExt:
         if self.b == 0:
             return self
-        return QuadExt._in_field(self.a, -self.b, self.c, self.m)
+        return QuadExt(self.a, -self.b, self.c, self.m)
 
     # -- arithmetic ---------------------------------------------------------
     # each operator is one formula on the parts (a, b, c, m) of its operand
@@ -263,21 +247,21 @@ class QuadExt(_Value):
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt._in_field(
+        return QuadExt(
             self.a * c + a * self.c, self.b * c + b * self.c, self.c * c, common_field(self.m, m)
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt._in_field(-self.a, -self.b, self.c, self.m)
+        return QuadExt(-self.a, -self.b, self.c, self.m)
 
     def __sub__(self, other):
         p = operand_parts(other)
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt._in_field(
+        return QuadExt(
             self.a * c - a * self.c, self.b * c - b * self.c, self.c * c, common_field(self.m, m)
         )
 
@@ -286,7 +270,7 @@ class QuadExt(_Value):
         if p is None:
             return NotImplemented
         a, b, c, m = p
-        return QuadExt._in_field(
+        return QuadExt(
             a * self.c - self.a * c, b * self.c - self.b * c, self.c * c, common_field(m, self.m)
         )
 
@@ -296,9 +280,7 @@ class QuadExt(_Value):
             return NotImplemented
         a, b, c, m = p
         m = common_field(self.m, m)
-        return QuadExt._in_field(
-            self.a * a + self.b * b * (m or 0), self.a * b + self.b * a, self.c * c, m
-        )
+        return QuadExt(self.a * a + self.b * b * (m or 0), self.a * b + self.b * a, self.c * c, m)
 
     __rmul__ = __mul__
 

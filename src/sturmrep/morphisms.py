@@ -149,10 +149,6 @@ class Mat2(_Value):
         put_c(self, c)
         put_d(self, d)
 
-    @classmethod
-    def identity(cls) -> Mat2:
-        return cls(1, 0, 0, 1)
-
     def __mul__(self, o: Mat2) -> Mat2:
         return Mat2(
             self.a * o.a + self.b * o.c,
@@ -162,7 +158,7 @@ class Mat2(_Value):
         )
 
     def __pow__(self, k: int) -> Mat2:
-        return power(self, k, Mat2.identity())
+        return power(self, k, Mat2(1, 0, 0, 1))
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

@@ -23,11 +23,10 @@ Rows = tuple[tuple[int, int, int], ...]
 class Mat3(_Value):
     """3x3 integer matrix as immutable rows.
 
-    Mat3(rows) and Mat3.parse check the shape, three rows of three, and
-    the entries, each an int (a bool raises TypeError too), and store the
-    rows as tuples.  Products, inverses and rep's leaves, which the package
-    builds as tuples of three tuples of ints, go through _of, which stores
-    the rows as they are."""
+    Mat3(rows) checks the shape, three rows of three, and the entries, each
+    an int (a bool raises TypeError too), and stores the rows as tuples.
+    Every matrix goes through it, those the package derives included:
+    products, inverses and rep's leaves."""
 
     __slots__ = _fields = ("rows",)
 
@@ -44,26 +43,13 @@ class Mat3(_Value):
             raise TypeError("matrix entries must be int")
         self._setters[0](self, ((a, b, c), (d, e, f), (g, h, i)))
 
-    @classmethod
-    def _of(cls, rows: Rows) -> Mat3:
-        # rows the package built in shape: no check, no copy
-        (put,) = cls._setters
-        m = object.__new__(cls)
-        put(m, rows)
-        return m
-
-    @classmethod
-    def identity(cls) -> Mat3:
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
     def __mul__(self, other: Mat3) -> Mat3:
-        """Matrix product, written out as nine sums of three terms; the
-        rows are built in shape, so the result skips the constructor."""
+        """Matrix product, written out as nine sums of three terms."""
         if not isinstance(other, Mat3):
             return NotImplemented
         (a, b, c), (d, e, f), (g, h, i) = self.rows
         (p, q, r), (s, t, u), (v, w, x) = other.rows
-        return Mat3._of(
+        return Mat3(
             (
                 (a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x),
                 (d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x),
@@ -72,7 +58,7 @@ class Mat3(_Value):
         )
 
     def __pow__(self, k: int) -> Mat3:
-        return power(self, k, Mat3.identity())
+        return power(self, k, Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 
     def det(self) -> int:
         (a, b, c), (d, e, f), (g, h, i) = self.rows
@@ -90,7 +76,7 @@ class Mat3(_Value):
         if s not in (1, -1):
             raise DomainError(f"no integer inverse: determinant {s}")
         (a, b, c), (d, e, f), (g, h, i) = self.rows
-        return Mat3._of(
+        return Mat3(
             (
                 (s * (e * i - f * h), s * (c * h - b * i), s * (b * f - c * e)),
                 (s * (f * g - d * i), s * (a * i - c * g), s * (c * d - a * f)),
@@ -150,9 +136,7 @@ def _leaf(word: GenWord) -> Mat3:
             raise KeyError(g)
     mask = y1 - 1
     cx, cy = x >> w, y >> w
-    return Mat3._of(
-        ((x & mask, y & mask, 0), (cx & mask, cy & mask, 0), (cx >> w, cy >> w, 1))
-    )
+    return Mat3(((x & mask, y & mask, 0), (cx & mask, cy & mask, 0), (cx >> w, cy >> w, 1)))
 
 
 def rep(word: GenWord) -> Mat3:

@@ -146,7 +146,7 @@ def sqrt_fixing_morphism(word: GenWord) -> SqrtMorphism:
         # doubled third row of the conjugated power
         t0, t1 = a + e - 1, b + f
         if t0 % 2 == 0 and t1 % 2 == 0:
-            lifted = Mat3._of(((a, b, 0), (c, d, 0), (t0 // 2, t1 // 2, 1)))
+            lifted = Mat3(((a, b, 0), (c, d, 0), (t0 // 2, t1 // 2, 1)))
             genword = decompose(lifted)
             return SqrtMorphism(k, genword)
         power = power * matrix

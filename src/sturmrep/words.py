@@ -173,9 +173,9 @@ class ParamVector(_Value):
 
     _fields = ("l0", "l1", "rho", "boundary")
     __slots__ = ("boundary", "pairs", "den", "_letters")
-    l0 = property(lambda v: QuadExt._in_field(*v.pairs[1], v.den, v.pairs[0]))
-    l1 = property(lambda v: QuadExt._in_field(*v.pairs[2], v.den, v.pairs[0]))
-    rho = property(lambda v: QuadExt._in_field(*v.pairs[3], v.den, v.pairs[0]))
+    l0 = property(lambda v: QuadExt(*v.pairs[1], v.den, v.pairs[0]))
+    l1 = property(lambda v: QuadExt(*v.pairs[2], v.den, v.pairs[0]))
+    rho = property(lambda v: QuadExt(*v.pairs[3], v.den, v.pairs[0]))
 
     def __init__(self, l0: QuadExt, l1: QuadExt, rho: QuadExt, boundary: str = LOWER):
         l0, l1, rho = _as_field(l0), _as_field(l1), _as_field(rho)

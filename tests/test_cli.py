@@ -458,8 +458,6 @@ def test_every_public_name_has_a_caller_in_the_library():
         ("QuadExt", "conjugate"),  # tests/oracles.py reads it
         ("EigenData", "field"),  # bench/workloads.py reads it, as item 1 will
         ("QuadExt", "sign"),  # QuadExt.__bool__ reads it, which no command takes
-        ("Mat2", "identity"),  # Mat2.__pow__ reads it, which no command takes
-        ("Mat3", "identity"),  # Mat3.__pow__ reads it, which no command takes
         ("PrefixStream", "slice"),  # __getitem__ and bench's far slice read it
     }
 

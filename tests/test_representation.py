@@ -67,7 +67,7 @@ def test_rep_examples():
     assert rep(parse_genword("DGG")).rows == ((1, 2, 0), (1, 3, 0), (1, 2, 1))
     assert rep(parse_genword("GDG'")) == rep(parse_genword("G'D'G"))
     assert rep(parse_genword("G'D'D'G")).rows == ((3, 4, 0), (2, 3, 0), (2, 3, 1))
-    assert rep(()) == Mat3.identity()
+    assert rep(()) == Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 @settings(deadline=None)
@@ -171,7 +171,7 @@ def test_matrix_relations(k):
 def test_exchange_matrix():
     ex = rep_exchange()
     assert ex.rows == ((0, 1, 0), (1, 0, 0), (1, 1, -1))
-    assert ex * ex == Mat3.identity()
+    assert ex * ex == rep(())
     assert ex.det() == 1
     alpha = QuadExt(0, 1, 3, 3)
     delta = QuadExt(1, 0, 4)
@@ -230,7 +230,7 @@ def test_membership_examples():
     assert check_membership(Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1)))).ok
     verdict = check_membership(Mat3(((1, 1, 0), (0, 1, 0), (0, 2, 1))))
     assert not verdict.ok and verdict.certificate == "F<B+D"
-    assert check_membership(Mat3.identity()).ok
+    assert check_membership(rep(())).ok
 
 
 def test_membership_certificates_in_order():
@@ -266,7 +266,7 @@ def test_companion_inequality_holds_for_members():
 
 def test_decompose_examples():
     assert format_genword(decompose(Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1))))) == "DGG"
-    assert decompose(Mat3.identity()).runs == () and not decompose(Mat3.identity())
+    assert decompose(rep(())).runs == () and not decompose(rep(()))
     assert format_genword(decompose(rep((GT,)))) == "G'"
     # the last run, at C = 0 or at B = 0
     assert format_genword(decompose(Mat3(((1, 3, 0), (0, 1, 0), (0, 2, 1))))) == "GG'G'"
@@ -340,7 +340,7 @@ def test_decompose_certificate_is_check_membership_s(w, mutation):
     matrix = mutated(rep(w).rows, mutation)
     verdict = check_membership(matrix)
     if verdict:
-        assert verdict == check_membership(Mat3.identity()) and verdict.certificate is None
+        assert verdict == check_membership(rep(())) and verdict.certificate is None
         assert rep(decompose(matrix)) == matrix
     else:
         with pytest.raises(MembershipError) as err:
@@ -453,7 +453,7 @@ def test_decompose_factors_256_bit_members(seed):
     # runs too long to write out; products of run matrices stand in for rep
     rng = random.Random(seed)
     matrix = rep(rng.choices(ALL, k=600))
-    big = Mat3.identity()
+    big = rep(())
     while max(map(max, big.rows)) < 2**256:
         big = big * rep((rng.choice(ALL),)) ** rng.randrange(1, 2**48)
     for m in (matrix, big):
@@ -461,7 +461,7 @@ def test_decompose_factors_256_bit_members(seed):
         word, elapsed, peak = decompose_traced(m)
         assert elapsed < 2.0 and peak < 100_000
         assert_maximal_runs(word)
-        product_of_runs = Mat3.identity()
+        product_of_runs = rep(())
         for g, k in word.runs:
             product_of_runs = product_of_runs * rep((g,)) ** k
         assert product_of_runs == m
@@ -482,7 +482,7 @@ def test_inverse_closed_form():
     assert rep((G,)).inverse().rows == ((1, -1, 0), (0, 1, 0), (0, 0, 1))
     m = Mat3(((1, 2, 0), (1, 3, 0), (1, 2, 1)))
     assert m.inverse().rows == ((3, -2, 0), (-1, 1, 0), (-1, 0, 1))
-    assert Mat3.identity().inverse() == Mat3.identity()
+    assert rep(()).inverse() == rep(())
     assert rep_exchange().inverse() == rep_exchange()
 
 
@@ -492,8 +492,8 @@ def test_inverse_really_inverts(w):
     # monoid shape) on either side
     x = rep_exchange()
     for m in (rep(w), rep(w) * x, x * rep(w), x * rep(w) * x):
-        assert m * m.inverse() == Mat3.identity()
-        assert m.inverse() * m == Mat3.identity()
+        assert m * m.inverse() == rep(())
+        assert m.inverse() * m == rep(())
 
 
 def test_inverse_shape_errors():
@@ -504,7 +504,7 @@ def test_inverse_shape_errors():
     swap = Mat3(((0, 1, 0), (1, 0, 0), (0, 0, 1))) * rep(parse_genword("DGG"))
     assert swap.det() == -1
     for m in (m, swap):
-        assert m * m.inverse() == m.inverse() * m == Mat3.identity()
+        assert m * m.inverse() == m.inverse() * m == rep(())
     # any determinant other than 1 or -1 has no integer inverse
     for rows in (((1, 2, 3), (4, 5, 6), (7, 8, 9)), ((2, 1, 0), (1, 2, 0), (0, 0, 1))):
         with pytest.raises(DomainError, match="no integer inverse"):
@@ -569,7 +569,7 @@ def test_mat3_rows_as_lists_are_rows_as_tuples():
 
 
 def test_det():
-    assert Mat3.identity().det() == 1
+    assert rep(()).det() == 1
     assert rep_exchange().det() == 1
     assert Mat3(((2, 0, 0), (0, 3, 0), (0, 0, 4))).det() == 24
 

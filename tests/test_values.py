@@ -6,10 +6,13 @@ only what defines them and read the radicand, the images and the verdict
 off it."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import sturmrep
 from sturmrep import (
     LOWER,
     UPPER,
@@ -27,6 +30,7 @@ from sturmrep import (
     YasutomiReport,
     dominant_eigen,
     parse_genword,
+    rep,
 )
 from sturmrep.exactfield import _Value
 from sturmrep.morphisms import D, DT, G, GT
@@ -198,21 +202,17 @@ def test_operators_and_argument_checks(call, want):
 
 
 ROWS = ((1, 2, 0), (1, 3, 0), (1, 2, 1))
-# each private constructor, which writes its fields unchecked, with the
-# public call that builds the same value: (private, public)
+# each private constructor, which writes its fields unchecked, and each
+# value the package derives, with the public call that builds the same
+# value: (private or derived, public)
 PRIVATE = {
     "BinaryMorphism._of": (
         lambda: BinaryMorphism._of("01", "1"), lambda: BinaryMorphism("01", "1")
     ),
-    "Mat3._of": (lambda: Mat3._of(ROWS), lambda: Mat3(ROWS)),
-    "Mat3-product": (lambda: Mat3(ROWS) * Mat3.identity(), lambda: Mat3([list(r) for r in ROWS])),
+    "Mat3-product": (lambda: Mat3(ROWS) * rep(()), lambda: Mat3([list(r) for r in ROWS])),
     "RunWord._of": (
         lambda: RunWord._of(((D, 1), (G, 2), (DT, 2**70))),
         lambda: RunWord(((D, 1), (G, 2), (DT, 2**70))),
-    ),
-    "QuadExt._in_field": (lambda: QuadExt._in_field(2, -4, -6, 3), lambda: QuadExt(2, -4, -6, 3)),
-    "QuadExt._in_field-rational": (
-        lambda: QuadExt._in_field(4, 0, 6, 3), lambda: QuadExt(4, 0, 6)
     ),
     "QuadExt-sum": (lambda: R2 + QuadExt(1, 0, 3), lambda: QuadExt(1, 3, 3, 2)),
     "ParamVector._from_pairs": (
@@ -228,6 +228,24 @@ PRIVATE = {
         lambda: ParamVector(*DGG_VECTOR),
     ),
 }
+
+
+def test_only_run_words_and_morphisms_keep_an_unchecked_constructor():
+    # Mat3 and QuadExt build every value, derived ones included, through
+    # their checked constructors; RunWord and BinaryMorphism keep _of,
+    # since their checks walk every run or every letter
+    modules = [
+        importlib.import_module(f"sturmrep.{info.name}")
+        for info in pkgutil.iter_modules(sturmrep.__path__)
+    ]
+    classes = {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    }
+    assert {Mat2, Mat3, QuadExt, BinaryMorphism, RunWord} <= classes
+    assert {cls for cls in classes if "_of" in vars(cls)} == {BinaryMorphism, RunWord}
+    for cls in (Mat2, Mat3, QuadExt):
+        assert not [name for name in ("_of", "_in_field", "identity") if hasattr(cls, name)]
 
 
 def slots_of(cls):
